@@ -3,7 +3,10 @@
 //! Every binary regenerates one table or figure of the paper (see
 //! DESIGN.md §5 and EXPERIMENTS.md). Datasets are the synthetic presets of
 //! `remp-datasets` at laptop-friendly default scales; pass `--scale X`
-//! (or set `REMP_SCALE`) to multiply them.
+//! (or set `REMP_SCALE`) to multiply them. [`profile`] is the per-stage
+//! pipeline bench engine behind `rempctl bench`.
+
+pub mod profile;
 
 use remp_baselines::{corleone, hike, power, CorleoneConfig, HikeConfig, PowerConfig};
 use remp_core::{evaluate_matches, prepare, PrecisionRecall, PreparedEr, Remp, RempConfig};

@@ -1,5 +1,5 @@
-//! Per-stage wall-clock profiling of the pipeline — the shared engine
-//! behind `rempctl bench` and the `bench_pipeline` binary.
+//! Per-stage wall-clock profiling of the pipeline — the engine behind
+//! `rempctl bench`.
 //!
 //! One [`run_pipeline_bench`] call generates a preset dataset, then runs
 //! the hot stages (candidate generation, attribute alignment, similarity
@@ -13,6 +13,7 @@
 
 use std::time::Instant;
 
+use remp_core::{evaluate_matches, LoopStat, Remp, RempConfig};
 use remp_crowd::OracleCrowd;
 use remp_datasets::{generate, preset_by_name, GeneratedDataset};
 use remp_ergraph::{
@@ -24,21 +25,25 @@ use remp_par::Parallelism;
 use remp_propagation::{inferred_sets_dijkstra, ConsistencyTable, ProbErGraph};
 use remp_selection::select_batch;
 
-use crate::{evaluate_matches, LoopStat, Remp, RempConfig};
-
-/// Parses a `--threads` list like `"1,2,4"` into thread counts — shared
-/// by the `rempctl bench` and `bench_pipeline` front-ends.
+/// Parses a `--threads` list like `"1,2,4"` into thread counts.
+///
+/// Every count must be at least 1 and appear once: a 0-thread run would
+/// pose as the sequential baseline, and two runs at the same count leave
+/// the speedup gate comparing an arbitrary one of them.
 pub fn parse_thread_list(raw: &str) -> Result<Vec<usize>, String> {
-    raw.split(',')
-        .map(|part| {
-            part.trim().parse::<usize>().map_err(|_| format!("--threads: bad count {part:?}"))
-        })
-        .collect()
+    let mut counts = Vec::new();
+    for part in raw.split(',') {
+        match part.trim().parse::<usize>() {
+            Ok(count) if count > 0 && !counts.contains(&count) => counts.push(count),
+            _ => return Err(format!("--threads: {part:?} is not a count >= 1 or is repeated")),
+        }
+    }
+    Ok(counts)
 }
 
 /// Parses a `--min-stage-speedup` list like
 /// `"prune=1.3,candidates=1.3,sim_vectors=1.2"` into `(stage, floor)`
-/// pairs — shared by the `rempctl bench` and `bench_pipeline` front-ends.
+/// pairs.
 pub fn parse_min_stage_speedup(raw: &str) -> Result<Vec<(String, f64)>, String> {
     raw.split(',')
         .map(|part| {
@@ -336,9 +341,9 @@ impl PipelineBenchReport {
         self.sequential().end_to_end / par
     }
 
-    /// The regression gate shared by `rempctl bench` and `bench_pipeline`:
-    /// errors when the end-to-end speedup of the most-parallel run over
-    /// the *sequential* run falls below `floor`.
+    /// The `--min-speedup` regression gate of `rempctl bench`: errors
+    /// when the end-to-end speedup of the most-parallel run over the
+    /// *sequential* run falls below `floor`.
     ///
     /// Requires an actual 1-thread run in the report — without one the
     /// "baseline" would be some parallel run (in the degenerate single
@@ -480,8 +485,7 @@ impl PipelineBenchReport {
         Ok(())
     }
 
-    /// Human-readable per-run summary, one line per entry — shared by the
-    /// two front-end binaries so their output stays identical.
+    /// Human-readable per-run summary, one line per entry.
     pub fn summary_lines(&self) -> Vec<String> {
         let mut lines = vec![format!(
             "pipeline bench: {} (scale {}) on a host with {} hardware thread(s)",
@@ -865,6 +869,9 @@ mod tests {
         assert_eq!(parse_thread_list("1,2,4").unwrap(), vec![1, 2, 4]);
         assert_eq!(parse_thread_list(" 8 ").unwrap(), vec![8]);
         assert!(parse_thread_list("1,x").is_err());
+        assert!(parse_thread_list("0,2").is_err());
+        assert!(parse_thread_list("1,1").is_err());
+        assert!(parse_thread_list("1,2, 2").is_err());
     }
 
     #[test]

@@ -32,7 +32,6 @@ mod jsonio;
 pub mod metrics;
 pub mod pipeline;
 pub mod prepared;
-pub mod profile;
 pub mod session;
 
 pub use config::RempConfig;
@@ -42,7 +41,6 @@ pub use isolated::classify_isolated;
 pub use metrics::{evaluate_matches, pair_completeness, reduction_ratio, PrecisionRecall};
 pub use pipeline::{MatchSource, Remp, RempOutcome, Resolution};
 pub use prepared::{prepare, PreparedEr};
-pub use profile::{run_pipeline_bench, PipelineBenchOptions, PipelineBenchReport, StageProfile};
 pub use remp_par::Parallelism;
 pub use remp_propagation::{LoopState, PropagationContext, RefreshStats};
 pub use session::{

@@ -604,7 +604,7 @@ impl LoopState {
     /// The from-scratch baseline: recomputes every artifact exactly like
     /// the pre-incremental pipeline did each loop, ignoring all caches.
     /// Kept as the reference the incremental path is verified against,
-    /// and as the benchmark baseline (`bench_pipeline`'s `loops`
+    /// and as the benchmark baseline (`rempctl bench`'s `loops`
     /// scenario).
     pub fn refresh_full(
         &mut self,

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use remp_core::profile::{
+use remp_bench::profile::{
     parse_min_stage_speedup, parse_thread_list, run_pipeline_bench, PipelineBenchOptions,
     StageBaseline,
 };
@@ -244,7 +244,7 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Err(CliError::Usage("no command given".into()));
     };
-    let opts = Opts::parse(rest)?;
+    let opts = Opts::parse(command, rest)?;
     match command.as_str() {
         "export" => cmd_export(&opts),
         "import" => cmd_import(&opts),
@@ -282,13 +282,42 @@ const SWITCHES: [&str; 6] =
 /// parses to an empty value.
 const OPTIONAL_VALUE: [&str; 1] = ["--scale"];
 
+/// The options each command accepts (space-separated, without `--`). Any
+/// other option is a usage error, so a misspelt gate flag fails loudly
+/// instead of leaving the gate off. A command not listed takes none.
+const ACCEPTED: &[(&str, &str)] = &[
+    ("export", "preset out scale format"),
+    ("import", "name"),
+    ("run", "kb1 kb2 gold oracle workers quality per-question seed budget mu threads trace-out"),
+    ("serve", "addr state-dir threads"),
+    ("drive", "url kb1 kb2 gold campaign name verify workers quality per-question seed budget mu"),
+    ("simulate", "seed threads out trace min-f1 max-questions require-complete sweep list"),
+    ("top", "url interval iterations"),
+    ("metrics", "url require"),
+    ("storm", "workers requests seed min-rps out"),
+    (
+        "bench",
+        "preset scale threads out min-speedup trace-out max-obs-overhead baseline \
+         min-stage-speedup stage-delta-out",
+    ),
+    ("bench --scale", "scale points budget seed max-rss-mb out work-dir keep-artifacts"),
+    ("scale-gen", "entities out seed match-rate mean-degree rels vocab label-noise name"),
+    (
+        "scale-plan",
+        "dir shards full max-block budget seed name oracle workers quality per-question \
+         kb1 kb2 gold",
+    ),
+    ("scale-run", "dir workers url out lease-ms"),
+    ("shard-worker", "url job worker poll-ms"),
+];
+
 struct Opts {
     positional: Vec<String>,
     named: HashMap<String, String>,
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, CliError> {
+    fn parse(command: &str, args: &[String]) -> Result<Opts, CliError> {
         let mut positional = Vec::new();
         let mut named = HashMap::new();
         let mut iter = args.iter().peekable();
@@ -308,7 +337,14 @@ impl Opts {
                 positional.push(arg.clone());
             }
         }
-        Ok(Opts { positional, named })
+        let scale_bench = command == "bench" && named.get("scale").is_some_and(String::is_empty);
+        let command = if scale_bench { "bench --scale" } else { command };
+        let accepted = ACCEPTED.iter().find(|&&(name, _)| name == command).map_or("", |&(_, a)| a);
+        let known = |key: &&String| accepted.split_whitespace().any(|a| a == key.as_str());
+        match named.keys().filter(|key| !known(key)).min() {
+            Some(key) => Err(CliError::Usage(format!("`rempctl {command}` has no option --{key}"))),
+            None => Ok(Opts { positional, named }),
+        }
     }
 
     fn required(&self, key: &str) -> Result<&str, CliError> {
@@ -323,12 +359,25 @@ impl Opts {
     }
 
     fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(raw) => {
-                raw.parse().map_err(|_| CliError::Usage(format!("--{key}: cannot parse {raw:?}")))
-            }
-        }
+        Ok(self.optional(key)?.unwrap_or(default))
+    }
+
+    /// Parses an option that has no default; `None` when it is absent.
+    fn optional<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
+        let parse = |raw: &str| {
+            raw.parse().map_err(|_| CliError::Usage(format!("--{key}: cannot parse {raw:?}")))
+        };
+        self.get(key).map(parse).transpose()
+    }
+
+    /// Parses `--threads` as a worker-pool policy; `None` when it is absent.
+    fn parallelism(&self) -> Result<Option<Parallelism>, CliError> {
+        let Some(raw) = self.get("threads") else { return Ok(None) };
+        Parallelism::from_label(raw).map(Some).ok_or_else(|| {
+            CliError::Usage(format!(
+                "--threads: expected a worker count, 'sequential' or 'auto', got {raw:?}"
+            ))
+        })
     }
 }
 
@@ -418,23 +467,13 @@ fn cmd_run(opts: &Opts) -> Result<(), CliError> {
     println!("  {} gold matches", dataset.gold.len());
 
     let mut config = RempConfig::default();
-    if let Some(budget) = opts.get("budget") {
-        let budget: usize = budget
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--budget: cannot parse {budget:?}")))?;
+    if let Some(budget) = opts.optional("budget")? {
         config = config.with_budget(budget);
     }
-    if let Some(mu) = opts.get("mu") {
-        let mu: usize =
-            mu.parse().map_err(|_| CliError::Usage(format!("--mu: cannot parse {mu:?}")))?;
+    if let Some(mu) = opts.optional("mu")? {
         config = config.with_mu(mu);
     }
-    if let Some(threads) = opts.get("threads") {
-        let parallelism = Parallelism::from_label(threads).ok_or_else(|| {
-            CliError::Usage(format!(
-                "--threads: expected a worker count, 'sequential' or 'auto', got {threads:?}"
-            ))
-        })?;
+    if let Some(parallelism) = opts.parallelism()? {
         config = config.with_parallelism(parallelism);
     }
 
@@ -444,24 +483,11 @@ fn cmd_run(opts: &Opts) -> Result<(), CliError> {
         let workers: usize = opts.parsed("workers", 100)?;
         let per_question: usize = opts.parsed("per-question", 5)?;
         let seed: u64 = opts.parsed("seed", 42)?;
-        let quality = opts.get("quality").unwrap_or("0.8,0.99");
-        let (min_q, max_q): (f64, f64) = quality
-            .split_once(',')
-            .and_then(|(a, b)| Some((a.trim().parse().ok()?, b.trim().parse().ok()?)))
-            .ok_or_else(|| {
-                CliError::Usage(format!("--quality: expected MIN,MAX, got {quality:?}"))
-            })?;
-        // Validate up front: SimulatedCrowd::new asserts on bad bounds,
-        // and a typo should get a usage message, not a panic.
-        if !(0.0..=1.0).contains(&min_q) || !(0.0..=1.0).contains(&max_q) || min_q > max_q {
-            return Err(CliError::Usage(format!(
-                "--quality: bounds must satisfy 0 ≤ MIN ≤ MAX ≤ 1, got {quality:?}"
-            )));
-        }
+        let CrowdParams { min_quality, max_quality, .. } = parse_quality_bounds(opts)?;
         if workers == 0 || per_question == 0 {
             return Err(CliError::Usage("--workers and --per-question must be at least 1".into()));
         }
-        Box::new(SimulatedCrowd::new(workers, min_q, max_q, per_question, seed))
+        Box::new(SimulatedCrowd::new(workers, min_quality, max_quality, per_question, seed))
     };
 
     let trace_out = trace_out_begin(opts);
@@ -544,12 +570,11 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     if let Some(dir) = opts.get("state-dir") {
         config.state_dir = Some(PathBuf::from(dir));
     }
-    if let Some(threads) = opts.get("threads") {
-        config.parallelism = Parallelism::from_label(threads)
-            .ok_or_else(|| CliError::Usage(format!("--threads: unknown policy {threads:?}")))?;
+    if let Some(parallelism) = opts.parallelism()? {
+        config.parallelism = parallelism;
     }
     install_signal_handlers();
-    let server = Server::bind(&config).map_err(|e| CliError::Failed(e.to_string()))?;
+    let server = Server::bind(&config)?;
     let resumed = server.registry().list();
     println!("rempctl serve: listening on http://{}", server.local_addr());
     match &config.state_dir {
@@ -559,7 +584,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     for (id, name) in resumed {
         println!("  resumed campaign {id} ({name})");
     }
-    let saved = server.run(signal_stop_flag()).map_err(|e| CliError::Failed(e.to_string()))?;
+    let saved = server.run(signal_stop_flag())?;
     println!("rempctl serve: shut down cleanly; {saved} campaign(s) checkpointed");
     Ok(())
 }
@@ -611,21 +636,13 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
                 ("kb2".to_owned(), Json::from(kb2.as_str())),
                 ("per_question".to_owned(), Json::from(params.per_question)),
             ];
-            if let Some(budget) = opts.get("budget") {
-                let budget: u64 = budget
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--budget: cannot parse {budget:?}")))?;
+            if let Some(budget) = opts.optional::<u64>("budget")? {
                 body.push(("budget".to_owned(), Json::from(budget)));
             }
-            if let Some(mu) = opts.get("mu") {
-                let mu: u64 = mu
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--mu: cannot parse {mu:?}")))?;
+            if let Some(mu) = opts.optional::<u64>("mu")? {
                 body.push(("mu".to_owned(), Json::from(mu)));
             }
-            let created = client
-                .post("/campaigns", &Json::Obj(body))
-                .map_err(|e| CliError::Failed(e.to_string()))?;
+            let created = client.post("/campaigns", &Json::Obj(body))?;
             created
                 .get("id")
                 .and_then(Json::as_str)
@@ -638,11 +655,8 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
     let started = Instant::now();
     let mut crowd = WireCrowd::new(&params);
     let truth = |a: EntityId, b: EntityId| dataset.is_match(a, b);
-    let driven = drive(&client, &campaign, &mut crowd, &truth)
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    let outcome_doc = client
-        .get(&format!("/campaigns/{campaign}/outcome"))
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+    let driven = drive(&client, &campaign, &mut crowd, &truth)?;
+    let outcome_doc = client.get(&format!("/campaigns/{campaign}/outcome"))?;
     println!("campaign completed over the wire in {:.1?}", started.elapsed());
     println!("  questions answered : {}", driven.len());
 
@@ -656,9 +670,7 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
     );
 
     // The server-side crowd health counters the campaign accumulated.
-    let status = client
-        .get(&format!("/campaigns/{campaign}"))
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+    let status = client.get(&format!("/campaigns/{campaign}"))?;
     if let Some(leases) = status.get("leases") {
         let n = |key: &str| leases.get(key).and_then(Json::as_u64).unwrap_or(0);
         println!(
@@ -691,8 +703,7 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
         }
         let policy = CrowdPolicy { per_question: params.per_question, ..CrowdPolicy::default() };
         let (reference, log) =
-            reference_outcome(&dataset.kb1, &dataset.kb2, &config, &policy, &params, &truth)
-                .map_err(|e| CliError::Failed(e.to_string()))?;
+            reference_outcome(&dataset.kb1, &dataset.kb2, &config, &policy, &params, &truth)?;
         outcome_matches(&outcome_doc, &reference, &log).map_err(|divergence| {
             CliError::Failed(format!(
                 "HTTP campaign diverged from the in-process run: {divergence}"
@@ -731,26 +742,17 @@ fn cmd_simulate(opts: &Opts) -> Result<(), CliError> {
         None => {
             let text = std::fs::read_to_string(spec)
                 .map_err(|e| CliError::Failed(format!("cannot read scenario {spec:?}: {e}")))?;
-            let mut scenario =
-                Scenario::parse(&text).map_err(|e| CliError::Failed(e.to_string()))?;
+            let mut scenario = Scenario::parse(&text)?;
             if opts.get("seed").is_some() {
                 scenario.seed = seed;
             }
             scenario
         }
     };
-    let parallelism = match opts.get("threads") {
-        None => None,
-        Some(raw) => Some(Parallelism::from_label(raw).ok_or_else(|| {
-            CliError::Usage(format!(
-                "--threads: expected a worker count, 'sequential' or 'auto', got {raw:?}"
-            ))
-        })?),
-    };
+    let parallelism = opts.parallelism()?;
 
     let started = Instant::now();
-    let report = remp_sim::run_scenario_with(&scenario, parallelism)
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+    let report = remp_sim::run_scenario_with(&scenario, parallelism)?;
     println!(
         "simulated scenario {:?} (seed {}) in {:.1?}",
         report.scenario,
@@ -780,10 +782,7 @@ fn cmd_simulate(opts: &Opts) -> Result<(), CliError> {
             scenario.max_ticks, report.stalled
         )));
     }
-    if let Some(floor) = opts.get("min-f1") {
-        let floor: f64 = floor
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--min-f1: cannot parse {floor:?}")))?;
+    if let Some(floor) = opts.optional::<f64>("min-f1")? {
         if report.eval.f1 < floor {
             return Err(CliError::Failed(format!(
                 "F1 {:.3} is below the required floor {floor}",
@@ -791,10 +790,7 @@ fn cmd_simulate(opts: &Opts) -> Result<(), CliError> {
             )));
         }
     }
-    if let Some(cap) = opts.get("max-questions") {
-        let cap: usize = cap
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--max-questions: cannot parse {cap:?}")))?;
+    if let Some(cap) = opts.optional::<usize>("max-questions")? {
         if report.questions_asked > cap {
             return Err(CliError::Failed(format!(
                 "{} questions asked, over the cap of {cap}",
@@ -854,14 +850,14 @@ fn cmd_simulate_sweep(sweep: &str, seed: u64, opts: &Opts) -> Result<(), CliErro
         "spam" => Json::Obj(vec![
             ("version".to_owned(), Json::from(1u64)),
             ("seed".to_owned(), Json::from(seed)),
-            ("spam_curve".to_owned(), remp_sim::spam_curve(seed).map_err(fail)?),
+            ("spam_curve".to_owned(), remp_sim::spam_curve(seed)?),
         ]),
         "churn" => Json::Obj(vec![
             ("version".to_owned(), Json::from(1u64)),
             ("seed".to_owned(), Json::from(seed)),
-            ("churn_curve".to_owned(), remp_sim::churn_curve(seed).map_err(fail)?),
+            ("churn_curve".to_owned(), remp_sim::churn_curve(seed)?),
         ]),
-        "all" => remp_sim::robustness_report(seed).map_err(fail)?,
+        "all" => remp_sim::robustness_report(seed)?,
         other => {
             return Err(CliError::Usage(format!(
                 "--sweep: expected spam, churn or all, got {other:?}"
@@ -888,10 +884,9 @@ fn cmd_simulate_sweep(sweep: &str, seed: u64, opts: &Opts) -> Result<(), CliErro
     Ok(())
 }
 
-fn fail(e: remp_sim::SimError) -> CliError {
-    CliError::Failed(e.to_string())
-}
-
+/// Parses `--quality MIN,MAX` into crowd quality bounds. Validated up
+/// front: `SimulatedCrowd::new` asserts on bad bounds, and a typo should
+/// get a usage message, not a panic.
 fn parse_quality_bounds(opts: &Opts) -> Result<CrowdParams, CliError> {
     let quality = opts.get("quality").unwrap_or("0.8,0.99");
     let (min_q, max_q): (f64, f64) = quality
@@ -927,8 +922,7 @@ fn decode_matches(outcome_doc: &Json) -> Result<Vec<(EntityId, EntityId)>, CliEr
 
 /// One `/metrics` scrape, parsed — shared by `top` and `metrics`.
 fn scrape_metrics(client: &ServeClient) -> Result<Exposition, CliError> {
-    let (status, text) =
-        client.get_text("/metrics").map_err(|e| CliError::Failed(e.to_string()))?;
+    let (status, text) = client.get_text("/metrics")?;
     if status != 200 {
         return Err(CliError::Failed(format!("GET /metrics answered HTTP {status}")));
     }
@@ -945,7 +939,7 @@ fn cmd_top(opts: &Opts) -> Result<(), CliError> {
     loop {
         round += 1;
         let expo = scrape_metrics(&client)?;
-        let health = client.get("/healthz").map_err(|e| CliError::Failed(e.to_string()))?;
+        let health = client.get("/healthz")?;
         if clear_screen {
             // Home the cursor and wipe the previous frame.
             print!("\x1b[H\x1b[2J");
@@ -1299,9 +1293,7 @@ fn storm_campaign(
         accepted += a;
         rejected += r;
     }
-    let status = ServeClient::new(addr)
-        .get(&format!("/campaigns/{id}"))
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+    let status = ServeClient::new(addr).get(&format!("/campaigns/{id}"))?;
     Ok(LongPollOutcome {
         questions_asked: status.get("questions_asked").and_then(Json::as_u64).unwrap_or(0),
         answers_accepted: accepted,
@@ -1367,16 +1359,14 @@ fn cmd_storm(opts: &Opts) -> Result<(), CliError> {
     // A question needs per_question *distinct* workers, so a small
     // storm must not demand more redundancy than it has workers.
     let per_question = workers.min(3);
-    let created = client
-        .post(
-            "/campaigns",
-            &Json::Obj(vec![
-                ("name".into(), Json::from("storm")),
-                ("preset".into(), Json::from("TINY")),
-                ("per_question".into(), Json::from(per_question)),
-            ]),
-        )
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+    let created = client.post(
+        "/campaigns",
+        &Json::Obj(vec![
+            ("name".into(), Json::from("storm")),
+            ("preset".into(), Json::from("TINY")),
+            ("per_question".into(), Json::from(per_question)),
+        ]),
+    )?;
     let id = created
         .get("id")
         .and_then(Json::as_str)
@@ -1395,10 +1385,8 @@ fn cmd_storm(opts: &Opts) -> Result<(), CliError> {
 
     // Phase 3 — recovery: snapshot the crash image, restart on it, and
     // demand a byte-identical outcome out of WAL replay.
-    let outcome_before = client
-        .get(&format!("/campaigns/{id}/outcome"))
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    let health = client.get("/healthz").map_err(|e| CliError::Failed(e.to_string()))?;
+    let outcome_before = client.get(&format!("/campaigns/{id}/outcome"))?;
+    let health = client.get("/healthz")?;
     let wal_bytes = health.get("wal_bytes").and_then(Json::as_u64).unwrap_or(0);
     copy_state_dir(&state_dir, &recovery_dir)?;
     server.stop();
@@ -1540,20 +1528,14 @@ fn cmd_bench(opts: &Opts) -> Result<(), CliError> {
         println!("  wrote {delta_out}");
     }
 
-    if let Some(floor) = opts.get("min-speedup") {
-        let floor: f64 = floor
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--min-speedup: cannot parse {floor:?}")))?;
+    if let Some(floor) = opts.optional("min-speedup")? {
         report.check_min_speedup(floor).map_err(CliError::Failed)?;
     }
     if let (Some(baseline), Some(floors)) = (&baseline, &floors) {
         report.check_min_stage_speedup(baseline, floors).map_err(CliError::Failed)?;
         println!("  per-stage regression gate passed ({} floors)", floors.len());
     }
-    if let Some(cap) = opts.get("max-obs-overhead") {
-        let cap: f64 = cap
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--max-obs-overhead: cannot parse {cap:?}")))?;
+    if let Some(cap) = opts.optional("max-obs-overhead")? {
         report.check_max_obs_overhead(cap).map_err(CliError::Failed)?;
     }
     Ok(())
@@ -1622,10 +1604,7 @@ fn cmd_scale_plan(opts: &Opts) -> Result<(), CliError> {
     );
 
     let mut config = RempConfig::default();
-    if let Some(budget) = opts.get("budget") {
-        let budget: usize = budget
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--budget: cannot parse {budget:?}")))?;
+    if let Some(budget) = opts.optional("budget")? {
         config = config.with_budget(budget);
     }
     let mode = if opts.get("full").is_some() {
@@ -1723,7 +1702,7 @@ fn run_sharded_processes(
         Some(url) => url.to_owned(),
         None => {
             let config = ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() };
-            let server = Server::bind(&config).map_err(|e| CliError::Failed(e.to_string()))?;
+            let server = Server::bind(&config)?;
             let addr = server.local_addr().to_string();
             let stop = Arc::new(AtomicBool::new(false));
             let flag = Arc::clone(&stop);
@@ -1737,15 +1716,13 @@ fn run_sharded_processes(
 
     let result = (|| {
         let client = ServeClient::new(addr.clone());
-        let created = client
-            .post(
-                "/scale/jobs",
-                &Json::Obj(vec![
-                    ("dir".to_owned(), Json::from(dir.display().to_string())),
-                    ("lease_ms".to_owned(), Json::from(lease_ms)),
-                ]),
-            )
-            .map_err(|e| CliError::Failed(e.to_string()))?;
+        let created = client.post(
+            "/scale/jobs",
+            &Json::Obj(vec![
+                ("dir".to_owned(), Json::from(dir.display().to_string())),
+                ("lease_ms".to_owned(), Json::from(lease_ms)),
+            ]),
+        )?;
         let job = created
             .get("job")
             .and_then(Json::as_str)
@@ -1774,9 +1751,7 @@ fn run_sharded_processes(
             }
         }
 
-        let outcome = client
-            .get(&format!("/scale/jobs/{job}/outcome"))
-            .map_err(|e| CliError::Failed(e.to_string()))?;
+        let outcome = client.get(&format!("/scale/jobs/{job}/outcome"))?;
         MergedOutcome::from_json(&outcome).map_err(CliError::Failed)
     })();
 
@@ -1796,12 +1771,10 @@ fn cmd_shard_worker(opts: &Opts) -> Result<(), CliError> {
 
     let mut processed = 0usize;
     loop {
-        let next = client
-            .post(
-                &format!("/scale/jobs/{job}/next"),
-                &Json::Obj(vec![("worker".to_owned(), Json::from(worker.as_str()))]),
-            )
-            .map_err(|e| CliError::Failed(e.to_string()))?;
+        let next = client.post(
+            &format!("/scale/jobs/{job}/next"),
+            &Json::Obj(vec![("worker".to_owned(), Json::from(worker.as_str()))]),
+        )?;
         let Some(shard) = next.get("shard").and_then(Json::as_u64) else {
             if next.get("done").and_then(Json::as_bool).unwrap_or(false) {
                 break;
@@ -1846,9 +1819,7 @@ fn cmd_shard_worker(opts: &Opts) -> Result<(), CliError> {
         let _ = beat.join();
         let result = result.map_err(CliError::Failed)?;
 
-        let ack = client
-            .post(&format!("/scale/jobs/{job}/result"), &result.to_json())
-            .map_err(|e| CliError::Failed(e.to_string()))?;
+        let ack = client.post(&format!("/scale/jobs/{job}/result"), &result.to_json())?;
         processed += 1;
         println!(
             "[{worker}] shard {shard}: {} pairs, {} questions in {:.1?} (accepted: {})",
@@ -1865,26 +1836,14 @@ fn cmd_shard_worker(opts: &Opts) -> Result<(), CliError> {
 fn cmd_bench_scale(opts: &Opts) -> Result<(), CliError> {
     let mut options = ScaleBenchOptions::default();
     if let Some(raw) = opts.get("points") {
-        options.points = raw
-            .split(',')
-            .map(|p| {
-                p.trim()
-                    .parse::<usize>()
-                    .map_err(|_| CliError::Usage(format!("--points: cannot parse {p:?}")))
-            })
-            .collect::<Result<_, _>>()?;
-        if options.points.is_empty() {
-            return Err(CliError::Usage("--points: needs at least one entity count".into()));
-        }
+        let parse = |p: &str| {
+            p.trim().parse().map_err(|_| CliError::Usage(format!("--points: cannot parse {p:?}")))
+        };
+        options.points = raw.split(',').map(parse).collect::<Result<_, _>>()?;
     }
     options.seed = opts.parsed("seed", options.seed)?;
     options.budget = opts.parsed("budget", options.budget)?;
-    if let Some(mb) = opts.get("max-rss-mb") {
-        options.max_rss_mb = Some(
-            mb.parse()
-                .map_err(|_| CliError::Usage(format!("--max-rss-mb: cannot parse {mb:?}")))?,
-        );
-    }
+    options.max_rss_mb = opts.optional("max-rss-mb")?;
     if let Some(dir) = opts.get("work-dir") {
         options.work_dir = Some(PathBuf::from(dir));
     }
@@ -1927,4 +1886,47 @@ fn cmd_bench_scale(opts: &Opts) -> Result<(), CliError> {
 
 fn default_name(path: &Path) -> String {
     path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_else(|| "kb".to_owned())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The error `Opts::parse` reports for a command line, if any.
+    fn parse_error(line: &str) -> Option<String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        Opts::parse(&args[0], &args[1..]).err().map(|(CliError::Usage(m) | CliError::Failed(m))| m)
+    }
+
+    #[test]
+    fn unknown_options_are_usage_errors() {
+        for (line, option) in [
+            ("bench --preset TINY --scale 1 --threads 1,2 --max-obs-overhed -1000", "overhed"),
+            // Bare `--scale` is the scale bench, which has no thread list.
+            ("bench --scale --threads 1,2", "--threads"),
+        ] {
+            let msg = parse_error(line).unwrap_or_else(|| panic!("{line:?} parsed"));
+            assert!(msg.contains(option), "{msg}");
+        }
+    }
+
+    #[test]
+    fn every_ci_command_line_parses() {
+        // Continuation lines joined; shell punctuation after the command
+        // (`; then`, `&`, `| grep`) cut off.
+        let workflow = include_str!("../../.github/workflows/ci.yml").replace("\\\n", " ");
+        let lines: Vec<&str> = workflow
+            .lines()
+            .filter_map(|line| {
+                let (_, tail) = line.split_once("target/release/rempctl ")?;
+                Some(&tail[..tail.find([';', '&', '|']).unwrap_or(tail.len())])
+            })
+            .collect();
+        for gate in ["bench --threads", "bench --scale", "metrics", "simulate", "storm"] {
+            assert!(lines.iter().any(|l| l.starts_with(gate)), "no `rempctl {gate}` in ci.yml");
+        }
+        for line in lines {
+            assert_eq!(parse_error(line), None, "CI line `rempctl {line}`");
+        }
+    }
 }
