@@ -82,22 +82,19 @@ impl StageBaseline {
     /// errors when there is none: gating against a parallel run would
     /// conflate layout wins with thread-pool overhead.
     pub fn from_report_json(doc: &Json) -> Result<StageBaseline, String> {
-        let (context, stages_doc) = match doc.get("baseline") {
-            Some(section) => (section, section.get("stages_s")),
+        let (context, stages_doc): (&Json, &Json) = match doc.opt_field("baseline")? {
+            Some(section) => (section, section.field("stages_s")?),
             None => {
-                let runs = doc
-                    .get("runs")
-                    .and_then(Json::as_array)
-                    .ok_or("baseline report has no \"runs\" array")?;
-                let sequential = runs
-                    .iter()
-                    .find(|r| r.get("threads").and_then(Json::as_usize).is_some_and(|t| t <= 1))
+                let sequential = doc
+                    .field::<Vec<&Json>>("runs")?
+                    .into_iter()
+                    .find(|r| r.field::<usize>("threads").is_ok_and(|t| t <= 1))
                     .ok_or("baseline report has no sequential (1-thread) run")?;
-                (doc, sequential.get("stages_s"))
+                (doc, sequential.field("stages_s")?)
             }
         };
         let stages = stages_doc
-            .and_then(Json::as_object)
+            .as_object()
             .ok_or("baseline has no \"stages_s\" object")?
             .iter()
             .map(|(name, secs)| {
@@ -107,8 +104,8 @@ impl StageBaseline {
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(StageBaseline {
-            preset: context.get("preset").and_then(Json::as_str).unwrap_or("?").to_owned(),
-            scale: context.get("scale").and_then(Json::as_f64).unwrap_or(0.0),
+            preset: context.opt_field("preset")?.unwrap_or_else(|| "?".to_owned()),
+            scale: context.opt_field("scale")?.unwrap_or(0.0),
             stages,
         })
     }
@@ -818,7 +815,7 @@ mod tests {
         // agreed on the question count, and produced per-loop rows.
         let loops = doc.get("loops").expect("loops scenario in the report");
         assert!(loops.get("rows").and_then(Json::as_array).is_some_and(|r| !r.is_empty()));
-        assert_eq!(loops.get("questions").and_then(Json::as_usize), Some(report.runs[0].questions));
+        assert_eq!(loops.field::<usize>("questions"), Ok(report.runs[0].questions));
         // The observability scenario is part of every report: both modes
         // ran and the overhead row is serialized.
         let obs = doc.get("observability").expect("observability scenario in the report");

@@ -229,67 +229,60 @@ impl RempConfig {
 
     /// Decodes a configuration from its JSON encoding.
     pub fn from_json(doc: &Json) -> Result<RempConfig, RempError> {
-        use crate::jsonio::{get, get_bool, get_f64, get_opt_usize, get_str, get_u64, get_usize};
+        let attr: &Json = doc.field("attr")?;
+        let truth: &Json = doc.field("truth")?;
+        let propagation: &Json = doc.field("propagation")?;
+        let forest: &Json = doc.field("forest")?;
 
-        let attr = get(doc, "attr")?;
-        let truth = get(doc, "truth")?;
-        let propagation = get(doc, "propagation")?;
-        let forest = get(doc, "forest")?;
-
-        let strategy_name = get_str(doc, "strategy")?;
+        let strategy_name = doc.field("strategy")?;
         let strategy = BatchStrategy::from_name(strategy_name).ok_or_else(|| {
             RempError::MalformedCheckpoint(format!("unknown strategy '{strategy_name}'"))
         })?;
 
         // Execution-only knob, absent from pre-parallelism checkpoints:
         // missing means the default policy, present must parse.
-        let parallelism = match doc.get("parallelism") {
+        let parallelism = match doc.opt_field("parallelism")? {
             None => Parallelism::default(),
-            Some(v) => {
-                let raw = v.as_str().ok_or_else(|| {
-                    RempError::MalformedCheckpoint("field 'parallelism' is not a string".into())
-                })?;
-                Parallelism::from_label(raw).ok_or_else(|| {
-                    RempError::MalformedCheckpoint(format!("unknown parallelism '{raw}'"))
-                })?
-            }
+            Some(raw) => Parallelism::from_label(raw).ok_or_else(|| {
+                RempError::MalformedCheckpoint(format!("unknown parallelism '{raw}'"))
+            })?,
         };
 
         Ok(RempConfig {
-            label_sim_threshold: get_f64(doc, "label_sim_threshold")?,
-            literal_threshold: get_f64(doc, "literal_threshold")?,
-            knn_k: get_usize(doc, "knn_k")?,
-            tau: get_f64(doc, "tau")?,
-            mu: get_usize(doc, "mu")?,
+            label_sim_threshold: doc.field("label_sim_threshold")?,
+            literal_threshold: doc.field("literal_threshold")?,
+            knn_k: doc.field("knn_k")?,
+            tau: doc.field("tau")?,
+            mu: doc.field("mu")?,
             strategy,
-            max_questions: get_opt_usize(doc, "max_questions")?,
-            max_loops: get_usize(doc, "max_loops")?,
+            max_questions: doc.field("max_questions")?,
+            max_loops: doc.field("max_loops")?,
             attr: AttrMatchConfig {
-                literal_threshold: get_f64(attr, "literal_threshold")?,
-                min_similarity: get_f64(attr, "min_similarity")?,
-                one_to_one: get_bool(attr, "one_to_one")?,
+                literal_threshold: attr.field("literal_threshold")?,
+                min_similarity: attr.field("min_similarity")?,
+                one_to_one: attr.field("one_to_one")?,
             },
             truth: TruthConfig {
-                match_threshold: get_f64(truth, "match_threshold")?,
-                non_match_threshold: get_f64(truth, "non_match_threshold")?,
+                match_threshold: truth.field("match_threshold")?,
+                non_match_threshold: truth.field("non_match_threshold")?,
             },
             propagation: PropagationConfig {
-                enumeration_budget: get_usize(propagation, "enumeration_budget")?,
-                beam_width: get_usize(propagation, "beam_width")?,
-                max_candidates: get_usize(propagation, "max_candidates")?,
+                enumeration_budget: propagation.field("enumeration_budget")?,
+                beam_width: propagation.field("beam_width")?,
+                max_candidates: propagation.field("max_candidates")?,
             },
-            classify_isolated: get_bool(doc, "classify_isolated")?,
+            classify_isolated: doc.field("classify_isolated")?,
             forest: ForestConfig {
-                n_trees: get_usize(forest, "n_trees")?,
-                seed: get_u64(forest, "seed")?,
+                n_trees: forest.field("n_trees")?,
+                seed: forest.field("seed")?,
                 tree: TreeConfig {
-                    max_depth: get_opt_usize(forest, "max_depth")?,
-                    min_samples_split: get_usize(forest, "min_samples_split")?,
-                    max_features: get_opt_usize(forest, "max_features")?,
+                    max_depth: forest.field("max_depth")?,
+                    min_samples_split: forest.field("min_samples_split")?,
+                    max_features: forest.field("max_features")?,
                 },
             },
-            psi: get_f64(doc, "psi")?,
-            classifier_threshold: get_f64(doc, "classifier_threshold")?,
+            psi: doc.field("psi")?,
+            classifier_threshold: doc.field("classifier_threshold")?,
             parallelism,
         })
     }

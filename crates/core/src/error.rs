@@ -58,6 +58,15 @@ impl fmt::Display for RempError {
 
 impl std::error::Error for RempError {}
 
+/// Checkpoint and config decoders read fields through
+/// [`Json::field`](remp_json::Json::field); a field that does not decode
+/// makes the checkpoint malformed.
+impl From<remp_json::FieldError> for RempError {
+    fn from(e: remp_json::FieldError) -> RempError {
+        RempError::MalformedCheckpoint(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

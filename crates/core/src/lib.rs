@@ -28,7 +28,6 @@ pub mod config;
 pub mod error;
 pub mod experiment;
 pub mod isolated;
-mod jsonio;
 pub mod metrics;
 pub mod pipeline;
 pub mod prepared;

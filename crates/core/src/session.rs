@@ -38,12 +38,11 @@ use std::time::Instant;
 
 use remp_crowd::{infer_truth, Label, LabelSource, Verdict};
 use remp_ergraph::PairId;
-use remp_json::Json;
+use remp_json::{FieldError, FromJson, Json};
 use remp_kb::{EntityId, Kb};
 use remp_propagation::{LoopState, PropagationContext, RefreshStats};
 use remp_selection::ComponentSelector;
 
-use crate::jsonio::{get, get_bool, get_f64, get_str, get_u64, get_usize, malformed};
 use crate::pipeline::{MatchSource, Resolution};
 use crate::{classify_isolated, prepare, PreparedEr, RempConfig, RempError, RempOutcome};
 
@@ -947,13 +946,27 @@ fn fingerprint_json(fp: &KbFingerprint) -> Json {
     ])
 }
 
-fn fingerprint_from_json(doc: &Json) -> Result<KbFingerprint, RempError> {
-    Ok(KbFingerprint {
-        name: get_str(doc, "name")?.to_owned(),
-        entities: get_usize(doc, "entities")?,
-        attr_triples: get_usize(doc, "attr_triples")?,
-        rel_triples: get_usize(doc, "rel_triples")?,
-    })
+impl FromJson<'_> for KbFingerprint {
+    fn decode(doc: &Json) -> Result<KbFingerprint, FieldError> {
+        Ok(KbFingerprint {
+            name: doc.field("name")?,
+            entities: doc.field("entities")?,
+            attr_triples: doc.field("attr_triples")?,
+            rel_triples: doc.field("rel_triples")?,
+        })
+    }
+}
+
+impl FromJson<'_> for PendingCheckpoint {
+    fn decode(doc: &Json) -> Result<PendingCheckpoint, FieldError> {
+        Ok(PendingCheckpoint {
+            id: doc.field("id")?,
+            pair: doc.field("pair")?,
+            prior: doc.field("prior")?,
+            answered: doc.field("answered")?,
+            inferred: doc.field("inferred")?,
+        })
+    }
 }
 
 impl SessionCheckpoint {
@@ -1016,86 +1029,39 @@ impl SessionCheckpoint {
 
     /// Decodes a checkpoint from a JSON value.
     pub fn from_json(doc: &Json) -> Result<SessionCheckpoint, RempError> {
-        let version = get_u64(doc, "version")?;
+        let malformed = RempError::MalformedCheckpoint;
+        let version: u64 = doc.field("version")?;
         if version != CHECKPOINT_VERSION {
             return Err(malformed(format!(
                 "unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
             )));
         }
-        let resolutions = get_str(doc, "resolutions")?
+        let resolutions = doc
+            .field::<&str>("resolutions")?
             .chars()
             .map(|c| {
                 Resolution::from_code(c)
                     .ok_or_else(|| malformed(format!("bad resolution code '{c}'")))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let priors = get(doc, "priors")?
-            .as_array()
-            .ok_or_else(|| malformed("field 'priors' is not an array"))?
-            .iter()
-            .map(|v| v.as_f64().ok_or_else(|| malformed("non-numeric prior")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let seeds = get(doc, "seeds")?
-            .as_array()
-            .ok_or_else(|| malformed("field 'seeds' is not an array"))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| malformed("bad seed id"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let pending = get(doc, "pending")?
-            .as_array()
-            .ok_or_else(|| malformed("field 'pending' is not an array"))?
-            .iter()
-            .map(|p| {
-                let inferred = get(p, "inferred")?
-                    .as_array()
-                    .ok_or_else(|| malformed("field 'inferred' is not an array"))?
-                    .iter()
-                    .map(|entry| {
-                        let parts =
-                            entry.as_array().ok_or_else(|| malformed("bad inferred entry"))?;
-                        match parts {
-                            [t, pr] => Ok((
-                                t.as_u64()
-                                    .and_then(|n| u32::try_from(n).ok())
-                                    .ok_or_else(|| malformed("bad inferred target"))?,
-                                pr.as_f64().ok_or_else(|| malformed("bad inferred probability"))?,
-                            )),
-                            _ => Err(malformed("inferred entry is not a pair")),
-                        }
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(PendingCheckpoint {
-                    id: get_u64(p, "id")?,
-                    pair: u32::try_from(get_u64(p, "pair")?)
-                        .map_err(|_| malformed("bad pending pair id"))?,
-                    prior: get_f64(p, "prior")?,
-                    answered: get_bool(p, "answered")?,
-                    inferred,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(SessionCheckpoint {
-            config: RempConfig::from_json(get(doc, "config")?)?,
-            kb1_fingerprint: fingerprint_from_json(get(doc, "kb1")?)?,
-            kb2_fingerprint: fingerprint_from_json(get(doc, "kb2")?)?,
+            config: RempConfig::from_json(doc.field("config")?)?,
+            kb1_fingerprint: doc.field("kb1")?,
+            kb2_fingerprint: doc.field("kb2")?,
             resolutions,
-            priors,
-            seeds,
-            questions_asked: get_usize(doc, "questions_asked")?,
-            loops: get_usize(doc, "loops")?,
-            drained: get_bool(doc, "drained")?,
-            next_question_id: get_u64(doc, "next_question_id")?,
-            pending,
+            priors: doc.field("priors")?,
+            seeds: doc.field("seeds")?,
+            questions_asked: doc.field("questions_asked")?,
+            loops: doc.field("loops")?,
+            drained: doc.field("drained")?,
+            next_question_id: doc.field("next_question_id")?,
+            pending: doc.field("pending")?,
         })
     }
 
     /// Decodes a checkpoint from a JSON string.
     pub fn from_json_str(text: &str) -> Result<SessionCheckpoint, RempError> {
-        let doc = Json::parse(text).map_err(|e| malformed(e.to_string()))?;
+        let doc = Json::parse(text).map_err(|e| RempError::MalformedCheckpoint(e.to_string()))?;
         SessionCheckpoint::from_json(&doc)
     }
 }

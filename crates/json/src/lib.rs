@@ -7,10 +7,31 @@
 //! and a canonical writer `Json::to_string` (via the `Display` impl).
 //! Numbers round-trip exactly: integers are kept as `u64`/`i64` and floats
 //! are written with Rust's shortest-round-trip formatting.
+//!
+//! Decoding goes through one typed field reader. [`FromJson`] decodes
+//! `bool`, `u32`, `u64`, `usize`, `f64`, `String`, `&str`, `&Json`,
+//! `Option<T>`, `Vec<T>` and 2- to 4-tuples (fixed-length arrays);
+//! [`Json::field`] reads a required member (absent or `null` is
+//! [`FieldError::Missing`]) and [`Json::opt_field`] an optional one
+//! (absent or `null` is `None`). A present value of the wrong type, or an
+//! integer that does not fit the target (`2^32` as `u32`, `-1` as `u64`),
+//! is [`FieldError::Invalid`] — never truncated, never defaulted. Each
+//! crate converts `FieldError` into its own error type in one place.
+//!
+//! ```
+//! use remp_json::{FieldError, Json};
+//!
+//! let doc = Json::parse(r#"{"shard_id": 4294967296, "seeds": [1, 2]}"#).unwrap();
+//! assert_eq!(doc.field::<Vec<u32>>("seeds"), Ok(vec![1, 2]));
+//! assert_eq!(doc.opt_field::<u64>("budget"), Ok(None));
+//! assert!(matches!(doc.field::<u32>("shard_id"), Err(FieldError::Invalid { .. })));
+//! ```
 
+mod field;
 mod parse;
 mod write;
 
+pub use field::{FieldError, FromJson};
 pub use parse::JsonError;
 
 use std::fmt;
@@ -75,11 +96,6 @@ impl Json {
             Json::Int(n) => u64::try_from(*n).ok(),
             _ => None,
         }
-    }
-
-    /// The value as a `usize`, if it is a non-negative integer that fits.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|n| usize::try_from(n).ok())
     }
 
     /// The value as an `f64` (integers convert losslessly up to 2^53).
@@ -217,7 +233,7 @@ mod tests {
         assert_eq!(items[1].as_f64(), Some(2.5));
         assert_eq!(items[2].as_str(), Some("s"));
         assert_eq!(items[3].as_bool(), Some(false));
-        assert_eq!(doc.get("b").unwrap().get("c").unwrap().as_usize(), Some(7));
+        assert_eq!(doc.get("b").unwrap().get("c").unwrap().as_u64(), Some(7));
         assert!(doc.get("missing").is_none());
     }
 

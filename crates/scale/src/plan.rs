@@ -75,26 +75,14 @@ impl CrowdSpec {
 
     /// Parses a spec serialized by [`CrowdSpec::to_json`].
     pub fn from_json(doc: &Json) -> Result<CrowdSpec, String> {
-        match doc.get("kind").and_then(Json::as_str) {
-            Some("oracle") => Ok(CrowdSpec::Oracle),
-            Some("simulated") => {
-                let int = |k: &str| {
-                    doc.get(k)
-                        .and_then(Json::as_usize)
-                        .ok_or_else(|| format!("crowd field `{k}` missing"))
-                };
-                let num = |k: &str| {
-                    doc.get(k)
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| format!("crowd field `{k}` missing"))
-                };
-                Ok(CrowdSpec::Simulated {
-                    workers: int("workers")?,
-                    min_quality: num("min_quality")?,
-                    max_quality: num("max_quality")?,
-                    per_question: int("per_question")?,
-                })
-            }
+        match doc.field("kind")? {
+            "oracle" => Ok(CrowdSpec::Oracle),
+            "simulated" => Ok(CrowdSpec::Simulated {
+                workers: doc.field("workers")?,
+                min_quality: doc.field("min_quality")?,
+                max_quality: doc.field("max_quality")?,
+                per_question: doc.field("per_question")?,
+            }),
             other => Err(format!("unknown crowd kind {other:?}")),
         }
     }
@@ -329,37 +317,17 @@ impl CampaignManifest {
 
     /// Parses a manifest document.
     pub fn from_json(doc: &Json) -> Result<CampaignManifest, String> {
-        let str_field = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("manifest field `{k}` missing"))
-        };
-        let int = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_usize)
-                .ok_or_else(|| format!("manifest field `{k}` missing"))
-        };
-        let shards = doc
-            .get("shards")
-            .and_then(Json::as_array)
-            .ok_or("manifest field `shards` missing")?
-            .iter()
-            .map(|s| s.as_str().map(str::to_string).ok_or("non-string shard entry".to_string()))
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(CampaignManifest {
-            campaign: str_field("campaign")?,
-            seed: doc.get("seed").and_then(Json::as_u64).ok_or("manifest field `seed` missing")?,
-            shards,
-            gold_total: int("gold_total")?,
-            pairs_total: int("pairs_total")?,
-            candidate_count: int("candidate_count")?,
-            mode: str_field("mode")?,
-            config: RempConfig::from_json(
-                doc.get("config").ok_or("manifest field `config` missing")?,
-            )
-            .map_err(|e| format!("manifest config invalid: {e}"))?,
-            crowd: CrowdSpec::from_json(doc.get("crowd").ok_or("manifest field `crowd` missing")?)?,
+            campaign: doc.field("campaign")?,
+            seed: doc.field("seed")?,
+            shards: doc.field("shards")?,
+            gold_total: doc.field("gold_total")?,
+            pairs_total: doc.field("pairs_total")?,
+            candidate_count: doc.field("candidate_count")?,
+            mode: doc.field("mode")?,
+            config: RempConfig::from_json(doc.field("config")?)
+                .map_err(|e| format!("manifest config invalid: {e}"))?,
+            crowd: CrowdSpec::from_json(doc.field("crowd")?)?,
         })
     }
 

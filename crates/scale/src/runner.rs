@@ -77,31 +77,21 @@ impl MergedOutcome {
 
     /// Parses an outcome serialized by [`MergedOutcome::to_json`].
     pub fn from_json(doc: &Json) -> Result<MergedOutcome, String> {
-        let int = |k: &str| {
-            doc.get(k).and_then(Json::as_u64).ok_or_else(|| format!("outcome field `{k}` missing"))
-        };
-        let num = |k: &str| {
-            doc.get(k).and_then(Json::as_f64).ok_or_else(|| format!("outcome field `{k}` missing"))
-        };
         Ok(MergedOutcome {
-            campaign: doc
-                .get("campaign")
-                .and_then(Json::as_str)
-                .ok_or("outcome field `campaign` missing")?
-                .to_string(),
-            shards: int("shards")? as usize,
-            pairs_total: int("pairs_total")? as usize,
-            matches_total: int("matches_total")? as usize,
-            gold_matched: int("gold_matched")? as usize,
-            gold_total: int("gold_total")? as usize,
-            questions_total: int("questions_total")? as usize,
-            loops_total: int("loops_total")? as usize,
-            precision: num("precision")?,
-            recall: num("recall")?,
-            f1: num("f1")?,
-            outcome_digest: int("outcome_digest")?,
-            transcript_digest: int("transcript_digest")?,
-            eval_digest: int("eval_digest")?,
+            campaign: doc.field("campaign")?,
+            shards: doc.field("shards")?,
+            pairs_total: doc.field("pairs_total")?,
+            matches_total: doc.field("matches_total")?,
+            gold_matched: doc.field("gold_matched")?,
+            gold_total: doc.field("gold_total")?,
+            questions_total: doc.field("questions_total")?,
+            loops_total: doc.field("loops_total")?,
+            precision: doc.field("precision")?,
+            recall: doc.field("recall")?,
+            f1: doc.field("f1")?,
+            outcome_digest: doc.field("outcome_digest")?,
+            transcript_digest: doc.field("transcript_digest")?,
+            eval_digest: doc.field("eval_digest")?,
         })
     }
 }

@@ -124,31 +124,15 @@ impl ScaleSpec {
 
     /// Deserializes a spec from manifest JSON.
     pub fn from_json(doc: &Json) -> Result<ScaleSpec, String> {
-        let str_field = |k: &str| -> Result<String, String> {
-            doc.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("spec field `{k}` missing or not a string"))
-        };
-        let num = |k: &str| -> Result<f64, String> {
-            doc.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("spec field `{k}` missing or not a number"))
-        };
-        let int = |k: &str| -> Result<u64, String> {
-            doc.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("spec field `{k}` missing or not an integer"))
-        };
         let spec = ScaleSpec {
-            name: str_field("name")?,
-            seed: int("seed")?,
-            entities: int("entities")? as usize,
-            match_rate: num("match_rate")?,
-            mean_degree: num("mean_degree")?,
-            rels: int("rels")? as usize,
-            vocab: int("vocab")? as usize,
-            label_noise: num("label_noise")?,
+            name: doc.field("name")?,
+            seed: doc.field("seed")?,
+            entities: doc.field("entities")?,
+            match_rate: doc.field("match_rate")?,
+            mean_degree: doc.field("mean_degree")?,
+            rels: doc.field("rels")?,
+            vocab: doc.field("vocab")?,
+            label_noise: doc.field("label_noise")?,
         };
         spec.validate()?;
         Ok(spec)

@@ -85,41 +85,18 @@ impl ShardResult {
 
     /// Parses a result serialized by [`ShardResult::to_json`].
     pub fn from_json(doc: &Json) -> Result<ShardResult, String> {
-        let int = |k: &str| {
-            doc.get(k).and_then(Json::as_u64).ok_or_else(|| format!("result field `{k}` missing"))
-        };
-        let matches = doc
-            .get("matches")
-            .and_then(Json::as_array)
-            .ok_or("result field `matches` missing")?
-            .iter()
-            .map(|m| {
-                let arr = m.as_array().filter(|a| a.len() == 2);
-                match arr {
-                    Some([a, b]) => match (a.as_str(), b.as_str()) {
-                        (Some(a), Some(b)) => Ok((a.to_string(), b.to_string())),
-                        _ => Err("non-string match entry".to_string()),
-                    },
-                    _ => Err("match entry is not a 2-array".to_string()),
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(ShardResult {
-            shard_id: int("shard_id")? as u32,
-            campaign: doc
-                .get("campaign")
-                .and_then(Json::as_str)
-                .ok_or("result field `campaign` missing")?
-                .to_string(),
-            matches,
-            gold_matched: int("gold_matched")? as usize,
-            gold_pairs: int("gold_pairs")? as usize,
-            pairs: int("pairs")? as usize,
-            edge_count: int("edge_count")? as usize,
-            questions_asked: int("questions_asked")? as usize,
-            loops: int("loops")? as usize,
-            transcript_digest: int("transcript_digest")?,
-            outcome_digest: int("outcome_digest")?,
+            shard_id: doc.field("shard_id")?,
+            campaign: doc.field("campaign")?,
+            matches: doc.field("matches")?,
+            gold_matched: doc.field("gold_matched")?,
+            gold_pairs: doc.field("gold_pairs")?,
+            pairs: doc.field("pairs")?,
+            edge_count: doc.field("edge_count")?,
+            questions_asked: doc.field("questions_asked")?,
+            loops: doc.field("loops")?,
+            transcript_digest: doc.field("transcript_digest")?,
+            outcome_digest: doc.field("outcome_digest")?,
         })
     }
 }

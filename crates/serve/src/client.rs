@@ -70,6 +70,13 @@ impl ClientError {
     }
 }
 
+/// A response field that does not decode violates the protocol.
+impl From<remp_json::FieldError> for ClientError {
+    fn from(e: remp_json::FieldError) -> ClientError {
+        ClientError::Protocol(e.to_string())
+    }
+}
+
 /// How an attempt on one connection failed — a retryable failure means
 /// the request can safely be replayed on a fresh connection because no
 /// response byte was received (the server closed an idle keep-alive

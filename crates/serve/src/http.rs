@@ -45,7 +45,7 @@ impl std::error::Error for HttpError {}
 
 /// A parsed request: method, decoded path segments and query pairs, and
 /// the raw body.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Request {
     /// `GET`, `POST`, ... (uppercase as sent).
     pub method: String,

@@ -18,8 +18,8 @@
 //!   simulator.
 //! * [`http`] — a strict, panic-free HTTP/1.1 subset on `std` sockets.
 //! * [`wire`] — the JSON protocol: typed [`wire::ServeError`]s (every
-//!   malformed input is a 4xx, duplicate submits are 409), request
-//!   accessors and response encoders. Documented in `PROTOCOL.md`.
+//!   malformed input is a 4xx, duplicate submits are 409), request-body
+//!   decoding and response encoders. Documented in `PROTOCOL.md`.
 //! * [`engine`] — per-campaign assignment/aggregation:
 //!   [`engine::CampaignEngine`] leases each open question to
 //!   `per_question` distinct workers, expires and re-issues abandoned

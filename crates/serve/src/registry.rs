@@ -33,7 +33,7 @@ use remp_core::{QuestionId, Remp, RempConfig, RempSession, SessionCheckpoint};
 use remp_crowd::WorkerRecord;
 use remp_datasets::{generate, preset_by_name};
 use remp_ingest::load_kb;
-use remp_json::Json;
+use remp_json::{FieldError, Json};
 use remp_kb::Kb;
 
 use crate::clock::{Clock, SystemClock};
@@ -226,28 +226,16 @@ impl CampaignSource {
     }
 
     fn from_json(doc: &Json) -> Result<CampaignSource, ServeError> {
-        let bad = |msg: &str| ServeError::internal("bad_state", format!("campaign source: {msg}"));
-        match doc.get("kind").and_then(Json::as_str) {
-            Some("preset") => Ok(CampaignSource::Preset {
-                preset: doc
-                    .get("preset")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("missing preset"))?
-                    .to_owned(),
-                scale: doc
-                    .get("scale")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad("missing scale"))?,
+        match doc.field("kind")? {
+            "preset" => Ok(CampaignSource::Preset {
+                preset: doc.field("preset")?,
+                scale: doc.field("scale")?,
             }),
-            Some("files") => Ok(CampaignSource::Files {
-                kb1: PathBuf::from(
-                    doc.get("kb1").and_then(Json::as_str).ok_or_else(|| bad("missing kb1"))?,
-                ),
-                kb2: PathBuf::from(
-                    doc.get("kb2").and_then(Json::as_str).ok_or_else(|| bad("missing kb2"))?,
-                ),
+            "files" => Ok(CampaignSource::Files {
+                kb1: PathBuf::from(doc.field::<&str>("kb1")?),
+                kb2: PathBuf::from(doc.field::<&str>("kb2")?),
             }),
-            _ => Err(bad("unknown kind")),
+            kind => Err(ServeError::internal("bad_state", format!("unknown source kind {kind:?}"))),
         }
     }
 
@@ -490,9 +478,8 @@ impl Registry {
     fn resume_from_file(&self, path: &Path) -> Result<(), ServeError> {
         let text = fs::read_to_string(path)
             .map_err(|e| ServeError::internal("state_file", format!("{}: {e}", path.display())))?;
-        let (id, spec, resume) = decode_state_file(&text).map_err(|mut e| {
-            e.message = format!("{}: {}", path.display(), e.message);
-            e
+        let (id, spec, resume) = decode_state_file(&text).map_err(|e| {
+            ServeError::internal("state_file", format!("{}: {}", path.display(), e.message))
         })?;
         {
             let inner = self.inner.lock().expect("registry poisoned");
@@ -1127,101 +1114,49 @@ fn encode_state(spec: &CampaignSpec, engine: &CampaignEngine<'_>, answer_seq: u6
 fn decode_state_file(text: &str) -> Result<(String, CampaignSpec, ResumeState), ServeError> {
     let bad = |msg: String| ServeError::internal("state_file", msg);
     let doc = Json::parse(text).map_err(|e| bad(format!("not JSON: {e}")))?;
-    let version = doc.get("version").and_then(Json::as_u64);
-    if version != Some(STATE_VERSION) {
-        return Err(bad(format!("unsupported state version {version:?}")));
+    let version: u64 = doc.field("version")?;
+    if version != STATE_VERSION {
+        return Err(bad(format!("unsupported state version {version}")));
     }
-    let id =
-        doc.get("id").and_then(Json::as_str).ok_or_else(|| bad("missing id".into()))?.to_owned();
-    let name = doc
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("missing name".into()))?
-        .to_owned();
-    let source =
-        CampaignSource::from_json(doc.get("source").ok_or_else(|| bad("missing source".into()))?)?;
-    let policy_doc = doc.get("policy").ok_or_else(|| bad("missing policy".into()))?;
+    let policy: &Json = doc.field("policy")?;
     let policy = CrowdPolicy {
-        per_question: policy_doc
-            .get("per_question")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| bad("missing per_question".into()))?,
-        qualification: policy_doc
-            .get("qualification")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad("missing qualification".into()))?,
-        quality_weight: policy_doc
-            .get("quality_weight")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad("missing quality_weight".into()))?,
-        lease_ms: policy_doc
-            .get("lease_ms")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("missing lease_ms".into()))?,
+        per_question: policy.field("per_question")?,
+        qualification: policy.field("qualification")?,
+        quality_weight: policy.field("quality_weight")?,
+        lease_ms: policy.field("lease_ms")?,
     };
     policy.validate()?;
-    let paused = doc.get("paused").and_then(Json::as_bool).unwrap_or(false);
-    // Additive: pre-WAL state files have no answer_seq, meaning no WAL
-    // record is folded in yet.
-    let answer_seq = doc.get("answer_seq").and_then(Json::as_u64).unwrap_or(0);
     let workers = doc
-        .get("workers")
-        .and_then(Json::as_array)
-        .ok_or_else(|| bad("missing workers".into()))?
-        .iter()
+        .field::<Vec<&Json>>("workers")?
+        .into_iter()
         .map(|w| {
-            Ok((
-                w.get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("worker without name".into()))?
-                    .to_owned(),
-                WorkerRecord {
-                    qualification: w
-                        .get("qualification")
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| bad("worker without qualification".into()))?,
-                    scored: w
-                        .get("scored")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("worker without scored".into()))?,
-                    agreed: w
-                        .get("agreed")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("worker without agreed".into()))?,
-                },
-            ))
+            let record = WorkerRecord {
+                qualification: w.field("qualification")?,
+                scored: w.field("scored")?,
+                agreed: w.field("agreed")?,
+            };
+            Ok((w.field("name")?, record))
         })
-        .collect::<Result<Vec<_>, ServeError>>()?;
-    let answers = doc
-        .get("answers")
-        .and_then(Json::as_array)
-        .ok_or_else(|| bad("missing answers".into()))?
-        .iter()
-        .map(|entry| {
-            let parts = entry.as_array().ok_or_else(|| bad("malformed answer entry".into()))?;
-            match parts {
-                [q, w, says] => Ok((
-                    q.as_u64().ok_or_else(|| bad("bad answer question".into()))?,
-                    w.as_str().ok_or_else(|| bad("bad answer worker".into()))?.to_owned(),
-                    says.as_bool().ok_or_else(|| bad("bad answer label".into()))?,
-                )),
-                _ => Err(bad("answer entry is not a triple".into())),
-            }
-        })
-        .collect::<Result<Vec<_>, ServeError>>()?;
-    let log = doc
-        .get("log")
-        .and_then(Json::as_array)
-        .ok_or_else(|| bad("missing log".into()))?
-        .iter()
-        .map(SubmittedRecord::from_json)
-        .collect::<Result<Vec<_>, ServeError>>()?;
-    let session = SessionCheckpoint::from_json(
-        doc.get("session").ok_or_else(|| bad("missing session".into()))?,
-    )
-    .map_err(|e| bad(e.to_string()))?;
-    let spec = CampaignSpec { name, source, config: session.config.clone(), policy };
-    Ok((id, spec, ResumeState { session, workers, answers, log, paused, answer_seq }))
+        .collect::<Result<Vec<_>, FieldError>>()?;
+    let session =
+        SessionCheckpoint::from_json(doc.field("session")?).map_err(|e| bad(e.to_string()))?;
+    let spec = CampaignSpec {
+        name: doc.field("name")?,
+        source: CampaignSource::from_json(doc.field("source")?)?,
+        config: session.config.clone(),
+        policy,
+    };
+    let resume = ResumeState {
+        session,
+        workers,
+        answers: doc.field("answers")?,
+        log: doc.field("log")?,
+        paused: doc.opt_field("paused")?.unwrap_or(false),
+        // Additive: pre-WAL state files have no answer_seq, meaning no
+        // WAL record is folded in yet.
+        answer_seq: doc.opt_field("answer_seq")?.unwrap_or(0),
+    };
+    Ok((doc.field("id")?, spec, resume))
 }
 
 #[cfg(test)]
@@ -1246,7 +1181,7 @@ mod tests {
 
         let status = registry.call(&id, CampaignRequest::Status { now_ms: 0 }).unwrap();
         assert_eq!(status.get("complete").and_then(Json::as_bool), Some(false));
-        assert_eq!(status.get("per_question").and_then(Json::as_usize), Some(2));
+        assert_eq!(status.field::<usize>("per_question"), Ok(2));
 
         let next =
             registry.call(&id, CampaignRequest::Next { worker: "w0".into(), now_ms: 0 }).unwrap();
@@ -1256,7 +1191,7 @@ mod tests {
         // the status now reports where that time went.
         let status = registry.call(&id, CampaignRequest::Status { now_ms: 0 }).unwrap();
         let stats = status.get("loop_stats").expect("loop stats in status");
-        assert_eq!(stats.get("propagation_passes").and_then(Json::as_usize), Some(1));
+        assert_eq!(stats.field::<usize>("propagation_passes"), Ok(1));
         assert!(stats.get("last").and_then(|l| l.get("full_rebuild")).is_some());
 
         assert_eq!(
@@ -1293,17 +1228,10 @@ mod tests {
         // Take a lease and answer once so there is mid-question state.
         let next =
             registry.call(&id, CampaignRequest::Next { worker: "w0".into(), now_ms: 0 }).unwrap();
-        let qid: QuestionId = next
-            .get("assignment")
-            .and_then(|a| a.get("id"))
-            .and_then(Json::as_str)
-            .unwrap()
-            .parse()
-            .unwrap();
-        let u1 = next.get("assignment").and_then(|a| a.get("u1")).and_then(Json::as_usize).unwrap();
-        let u2 = next.get("assignment").and_then(|a| a.get("u2")).and_then(Json::as_usize).unwrap();
-        let truth =
-            d.is_match(remp_kb::EntityId::from_index(u1), remp_kb::EntityId::from_index(u2));
+        let assignment: &Json = next.field("assignment").unwrap();
+        let qid: QuestionId = assignment.field::<&str>("id").unwrap().parse().unwrap();
+        let (u1, u2) = (assignment.field("u1").unwrap(), assignment.field("u2").unwrap());
+        let truth = d.is_match(remp_kb::EntityId(u1), remp_kb::EntityId(u2));
         registry
             .call(
                 &id,
@@ -1377,17 +1305,10 @@ mod tests {
 
         let next =
             registry.call(&id, CampaignRequest::Next { worker: "w0".into(), now_ms: 0 }).unwrap();
-        let qid: QuestionId = next
-            .get("assignment")
-            .and_then(|a| a.get("id"))
-            .and_then(Json::as_str)
-            .unwrap()
-            .parse()
-            .unwrap();
-        let u1 = next.get("assignment").and_then(|a| a.get("u1")).and_then(Json::as_usize).unwrap();
-        let u2 = next.get("assignment").and_then(|a| a.get("u2")).and_then(Json::as_usize).unwrap();
-        let truth =
-            d.is_match(remp_kb::EntityId::from_index(u1), remp_kb::EntityId::from_index(u2));
+        let assignment: &Json = next.field("assignment").unwrap();
+        let qid: QuestionId = assignment.field::<&str>("id").unwrap().parse().unwrap();
+        let (u1, u2) = (assignment.field("u1").unwrap(), assignment.field("u2").unwrap());
+        let truth = d.is_match(remp_kb::EntityId(u1), remp_kb::EntityId(u2));
         registry
             .call(
                 &id,

@@ -20,10 +20,7 @@ use remp_par::Parallelism;
 use crate::engine::CrowdPolicy;
 use crate::http::Request;
 use crate::registry::{CampaignRequest, CampaignSource, CampaignSpec, Registry};
-use crate::wire::{
-    body_bool, body_opt_f64, body_opt_str, body_opt_u64, body_str, body_u64, parse_body,
-    parse_question_id, ServeError,
-};
+use crate::wire::{parse_body, parse_question_id, ServeError};
 
 /// One segment of a route pattern.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -379,9 +376,9 @@ fn next_question(ctx: &Ctx) -> Result<(u16, Json), ServeError> {
 
 fn submit_answer(ctx: &Ctx) -> Result<(u16, Json), ServeError> {
     let doc = parse_body(&ctx.request.body)?;
-    let worker = body_str(&doc, "worker")?.to_owned();
-    let question = parse_question_id(body_str(&doc, "question")?)?;
-    let says_match = body_bool(&doc, "says_match")?;
+    let worker = doc.field("worker")?;
+    let question = parse_question_id(doc.field("question")?)?;
+    let says_match = doc.field("says_match")?;
     Ok((
         200,
         ctx.registry.call(
@@ -405,9 +402,7 @@ fn campaign_resume(ctx: &Ctx) -> Result<(u16, Json), ServeError> {
 
 fn scale_create(ctx: &Ctx) -> Result<(u16, Json), ServeError> {
     let doc = parse_body(&ctx.request.body)?;
-    let dir = body_str(&doc, "dir")?;
-    let lease_ms = body_opt_u64(&doc, "lease_ms")?;
-    ctx.registry.scale_jobs().create(dir, lease_ms)
+    ctx.registry.scale_jobs().create(doc.field("dir")?, doc.opt_field("lease_ms")?)
 }
 
 fn scale_list(ctx: &Ctx) -> Result<(u16, Json), ServeError> {
@@ -420,14 +415,13 @@ fn scale_status(ctx: &Ctx) -> Result<(u16, Json), ServeError> {
 
 fn scale_next(ctx: &Ctx) -> Result<(u16, Json), ServeError> {
     let doc = parse_body(&ctx.request.body)?;
-    let worker = body_str(&doc, "worker")?;
-    ctx.registry.scale_jobs().next(ctx.param(0), worker, ctx.now_ms())
+    ctx.registry.scale_jobs().next(ctx.param(0), doc.field("worker")?, ctx.now_ms())
 }
 
 fn scale_heartbeat(ctx: &Ctx) -> Result<(u16, Json), ServeError> {
     let doc = parse_body(&ctx.request.body)?;
-    let worker = body_str(&doc, "worker")?;
-    let shard = body_u64(&doc, "shard")? as u32;
+    let worker = doc.field("worker")?;
+    let shard = doc.field("shard")?;
     ctx.registry.scale_jobs().heartbeat(ctx.param(0), worker, shard, ctx.now_ms())
 }
 
@@ -453,14 +447,13 @@ fn scale_outcome(ctx: &Ctx) -> Result<(u16, Json), ServeError> {
 /// `scale`) selects the source.
 pub fn campaign_spec_from_body(body: &[u8]) -> Result<CampaignSpec, ServeError> {
     let doc = parse_body(body)?;
-    let source = match (body_opt_str(&doc, "preset")?, body_opt_str(&doc, "kb1")?) {
-        (Some(preset), None) => CampaignSource::Preset {
-            preset: preset.to_owned(),
-            scale: body_opt_f64(&doc, "scale")?.unwrap_or(1.0),
-        },
+    let source = match (doc.opt_field("preset")?, doc.opt_field::<&str>("kb1")?) {
+        (Some(preset), None) => {
+            CampaignSource::Preset { preset, scale: doc.opt_field("scale")?.unwrap_or(1.0) }
+        }
         (None, Some(kb1)) => CampaignSource::Files {
             kb1: PathBuf::from(kb1),
-            kb2: PathBuf::from(body_str(&doc, "kb2")?),
+            kb2: PathBuf::from(doc.field::<&str>("kb2")?),
         },
         (Some(_), Some(_)) => {
             return Err(ServeError::bad_request(
@@ -476,13 +469,13 @@ pub fn campaign_spec_from_body(body: &[u8]) -> Result<CampaignSpec, ServeError> 
         }
     };
     let mut config = RempConfig::default();
-    if let Some(mu) = body_opt_u64(&doc, "mu")? {
-        config = config.with_mu(mu as usize);
+    if let Some(mu) = doc.opt_field("mu")? {
+        config = config.with_mu(mu);
     }
-    if let Some(budget) = body_opt_u64(&doc, "budget")? {
-        config = config.with_budget(budget as usize);
+    if let Some(budget) = doc.opt_field("budget")? {
+        config = config.with_budget(budget);
     }
-    if let Some(threads) = body_opt_str(&doc, "threads")? {
+    if let Some(threads) = doc.opt_field::<&str>("threads")? {
         let parallelism = Parallelism::from_label(threads).ok_or_else(|| {
             ServeError::bad_request("bad_field", format!("unknown threads policy {threads:?}"))
         })?;
@@ -490,14 +483,12 @@ pub fn campaign_spec_from_body(body: &[u8]) -> Result<CampaignSpec, ServeError> 
     }
     let default_policy = CrowdPolicy::default();
     let policy = CrowdPolicy {
-        per_question: body_opt_u64(&doc, "per_question")?
-            .map_or(default_policy.per_question, |n| n as usize),
-        qualification: body_opt_f64(&doc, "qualification")?.unwrap_or(default_policy.qualification),
-        quality_weight: body_opt_f64(&doc, "quality_weight")?
-            .unwrap_or(default_policy.quality_weight),
-        lease_ms: body_opt_u64(&doc, "lease_ms")?.unwrap_or(default_policy.lease_ms),
+        per_question: doc.opt_field("per_question")?.unwrap_or(default_policy.per_question),
+        qualification: doc.opt_field("qualification")?.unwrap_or(default_policy.qualification),
+        quality_weight: doc.opt_field("quality_weight")?.unwrap_or(default_policy.quality_weight),
+        lease_ms: doc.opt_field("lease_ms")?.unwrap_or(default_policy.lease_ms),
     };
-    let name = body_opt_str(&doc, "name")?.unwrap_or("campaign").to_owned();
+    let name = doc.opt_field("name")?.unwrap_or_else(|| "campaign".to_owned());
     Ok(CampaignSpec { name, source, config, policy })
 }
 
@@ -563,6 +554,35 @@ mod tests {
         assert_eq!(campaign_in_path("/healthz"), None);
     }
 
+    /// Runs one JSON route the way the server does.
+    fn dispatch(registry: &Registry, path: &str, body: &str) -> Result<(u16, Json), ServeError> {
+        let Resolution::Matched { route, params } = resolve("POST", path) else {
+            panic!("POST {path} must resolve")
+        };
+        let (Action::Json(handler) | Action::LongPoll(handler)) = route.action else {
+            panic!("POST {path} is not a JSON route")
+        };
+        let request = Request { body: body.as_bytes().to_vec(), ..Request::default() };
+        handler(&Ctx { request: &request, params, registry })
+    }
+
+    #[test]
+    fn wrong_typed_bodies_are_bad_fields_and_absent_ones_missing() {
+        let registry = Registry::open(None).unwrap();
+        let answers = "/campaigns/c0/answers";
+        for (path, body, code) in [
+            (answers, r#"{"worker":7,"question":"q0","says_match":true}"#, "bad_field"),
+            (answers, r#"{"worker":"w","question":"q0","says_match":"yes"}"#, "bad_field"),
+            (answers, r#"{"worker":"w","question":"q0"}"#, "missing_field"),
+            (answers, r#"{"worker":null,"question":"q0","says_match":true}"#, "missing_field"),
+            ("/scale/jobs/s0/heartbeat", r#"{"worker":"w","shard":4294967296}"#, "bad_field"),
+            ("/scale/jobs/s0/heartbeat", r#"{"worker":"w","shard":-1}"#, "bad_field"),
+        ] {
+            let err = dispatch(&registry, path, body).unwrap_err();
+            assert_eq!((err.status, err.code), (400, code), "{path} {body}: {err}");
+        }
+    }
+
     #[test]
     fn campaign_bodies_decode_and_reject() {
         let spec = campaign_spec_from_body(
@@ -582,6 +602,7 @@ mod tests {
             br#"{"preset":"TINY","kb1":"a"}"#,
             br#"{"kb1":"a.rkb"}"#,
             br#"{"preset":"TINY","threads":"warp"}"#,
+            br#"{"preset":"TINY","budget":"100"}"#,
             br#"not json"#,
         ] {
             assert_eq!(campaign_spec_from_body(bad).unwrap_err().status, 400, "{bad:?}");

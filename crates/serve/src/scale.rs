@@ -212,7 +212,7 @@ mod tests {
         let (status, doc) = jobs.create(&dir.display().to_string(), None).unwrap();
         assert_eq!(status, 201);
         let job = doc.get("job").and_then(Json::as_str).unwrap().to_owned();
-        let total = doc.get("total").and_then(Json::as_usize).unwrap();
+        let total: usize = doc.field("total").unwrap();
         assert!(total >= 2);
 
         // Outcome before completion is a conflict, not an answer.
@@ -249,5 +249,27 @@ mod tests {
         let (_, doc) = jobs.create(&dir.display().to_string(), Some(1000)).unwrap();
         let job = doc.get("job").and_then(Json::as_str).unwrap().to_owned();
         assert_eq!(jobs.result(&job, &Json::Obj(vec![])).unwrap_err().status, 400);
+    }
+
+    #[test]
+    fn out_of_range_shard_ids_are_rejected_not_truncated() {
+        let dir = campaign_dir("wide-id");
+        let jobs = ScaleJobs::default();
+        let (_, doc) = jobs.create(&dir.display().to_string(), None).unwrap();
+        let job: String = doc.field("job").unwrap();
+        let (_, next) = jobs.next(&job, "w1", 0).unwrap();
+        let result =
+            remp_scale::process_shard(Path::new(next.field::<&str>("path").unwrap())).unwrap();
+        // 2^32 + id wraps to this shard's id under a `u32` cast; it must
+        // be a 400, not an accepted result for the real shard.
+        let mut wide = result.to_json();
+        if let Json::Obj(members) = &mut wide {
+            members[0].1 = Json::UInt((1 << 32) + u64::from(result.shard_id));
+        }
+        let err = jobs.result(&job, &wide).unwrap_err();
+        assert_eq!((err.status, err.code), (400, "bad_result"), "{err}");
+        // The shard is still open: its genuine result is the first accepted.
+        let (_, ack) = jobs.result(&job, &result.to_json()).unwrap();
+        assert_eq!(ack.field::<bool>("accepted"), Ok(true));
     }
 }

@@ -175,10 +175,7 @@ pub fn drive_n(
 ) -> Result<Vec<DrivenQuestion>, ClientError> {
     let proto = |msg: String| ClientError::Protocol(msg);
     let status = client.get(&format!("/campaigns/{campaign}"))?;
-    let per_question = status
-        .get("per_question")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| proto("status without per_question".into()))?;
+    let per_question: usize = status.field("per_question")?;
     if per_question != crowd.per_question {
         return Err(proto(format!(
             "campaign wants {per_question} answers per question but the crowd draws {}",
@@ -192,39 +189,24 @@ pub fn drive_n(
             return Ok(driven);
         }
         let open = client.get(&format!("/campaigns/{campaign}/questions"))?;
-        let questions = open
-            .get("questions")
-            .and_then(Json::as_array)
-            .ok_or_else(|| proto("questions response without array".into()))?;
+        let questions: Vec<&Json> = open.field("questions")?;
         let Some(next_doc) = questions.first() else {
             let status = client.get(&format!("/campaigns/{campaign}"))?;
-            if status.get("complete").and_then(Json::as_bool) == Some(true) {
+            if status.field("complete")? {
                 return Ok(driven);
             }
             return Err(proto("campaign is not complete but has no open questions".into()));
         };
-        let field_u32 = |doc: &Json, key: &str| {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| proto(format!("question without numeric '{key}'")))
-        };
-        let expected_id = next_doc
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| proto("question without id".into()))?
-            .to_owned();
-        let pair = (EntityId(field_u32(next_doc, "u1")?), EntityId(field_u32(next_doc, "u2")?));
+        let expected_id: &str = next_doc.field("id")?;
+        let pair = (EntityId(next_doc.field("u1")?), EntityId(next_doc.field("u2")?));
 
         let mut verdict = None;
         for (worker, says_match) in crowd.answers(truth(pair.0, pair.1)) {
             let assignment = client.get(&format!("/campaigns/{campaign}/next?worker={worker}"))?;
-            let assigned = assignment
-                .get("assignment")
-                .filter(|a| !matches!(a, Json::Null))
-                .and_then(|a| a.get("id"))
-                .and_then(Json::as_str)
-                .ok_or_else(|| proto(format!("no assignment for worker {worker}")))?;
+            let assigned: &str = assignment
+                .opt_field::<&Json>("assignment")?
+                .ok_or_else(|| proto(format!("no assignment for worker {worker}")))?
+                .field("id")?;
             if assigned != expected_id {
                 return Err(proto(format!(
                     "server assigned {assigned} to {worker}, expected {expected_id}"
@@ -234,12 +216,12 @@ pub fn drive_n(
                 &format!("/campaigns/{campaign}/answers"),
                 &Json::Obj(vec![
                     ("worker".into(), Json::from(worker.as_str())),
-                    ("question".into(), Json::from(expected_id.as_str())),
+                    ("question".into(), Json::from(expected_id)),
                     ("says_match".into(), Json::from(says_match)),
                 ]),
             )?;
-            if let Some(submitted) = ack.get("submitted").filter(|s| !matches!(s, Json::Null)) {
-                verdict = submitted.get("verdict").and_then(Json::as_str).map(str::to_owned);
+            if let Some(submitted) = ack.opt_field::<&Json>("submitted")? {
+                verdict = Some(submitted.field::<String>("verdict")?);
             }
         }
         let verdict =

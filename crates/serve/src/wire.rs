@@ -1,4 +1,4 @@
-//! The JSON wire protocol: typed API errors, request-body accessors and
+//! The JSON wire protocol: typed API errors, request-body decoding and
 //! the encoders for every response shape (documented end-to-end in
 //! `PROTOCOL.md`).
 //!
@@ -9,7 +9,7 @@
 
 use remp_core::{Question, QuestionId, RempError, RempOutcome};
 use remp_crowd::Verdict;
-use remp_json::Json;
+use remp_json::{FieldError, FromJson, Json};
 use remp_kb::EntityId;
 
 /// A typed API error: HTTP status, stable machine-readable code, and a
@@ -85,7 +85,21 @@ impl From<RempError> for ServeError {
     }
 }
 
-// ---- request-body accessors ------------------------------------------
+// ---- request bodies --------------------------------------------------
+
+/// Request bodies are read through
+/// [`Json::field`](remp_json::Json::field): an absent or `null` required
+/// field is `missing_field`, a present one of the wrong type or out of
+/// range is `bad_field` (both 400).
+impl From<FieldError> for ServeError {
+    fn from(e: FieldError) -> ServeError {
+        let code = match e {
+            FieldError::Missing { .. } => "missing_field",
+            FieldError::Invalid { .. } => "bad_field",
+        };
+        ServeError::bad_request(code, e.to_string())
+    }
+}
 
 /// Parses a request body as a JSON object.
 pub fn parse_body(body: &[u8]) -> Result<Json, ServeError> {
@@ -97,57 +111,6 @@ pub fn parse_body(body: &[u8]) -> Result<Json, ServeError> {
         return Err(ServeError::bad_request("bad_json", "body must be a JSON object"));
     }
     Ok(doc)
-}
-
-/// Required string field.
-pub fn body_str<'j>(doc: &'j Json, key: &str) -> Result<&'j str, ServeError> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| ServeError::bad_request("missing_field", format!("field '{key}' (string)")))
-}
-
-/// Required bool field.
-pub fn body_bool(doc: &Json, key: &str) -> Result<bool, ServeError> {
-    doc.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| ServeError::bad_request("missing_field", format!("field '{key}' (bool)")))
-}
-
-/// Required non-negative integer field.
-pub fn body_u64(doc: &Json, key: &str) -> Result<u64, ServeError> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ServeError::bad_request("missing_field", format!("field '{key}' (integer)")))
-}
-
-/// Optional numeric field.
-pub fn body_opt_f64(doc: &Json, key: &str) -> Result<Option<f64>, ServeError> {
-    match doc.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v.as_f64().map(Some).ok_or_else(|| {
-            ServeError::bad_request("bad_field", format!("field '{key}' is not a number"))
-        }),
-    }
-}
-
-/// Optional non-negative integer field.
-pub fn body_opt_u64(doc: &Json, key: &str) -> Result<Option<u64>, ServeError> {
-    match doc.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-            ServeError::bad_request("bad_field", format!("field '{key}' is not an integer"))
-        }),
-    }
-}
-
-/// Optional string field.
-pub fn body_opt_str<'j>(doc: &'j Json, key: &str) -> Result<Option<&'j str>, ServeError> {
-    match doc.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v.as_str().map(Some).ok_or_else(|| {
-            ServeError::bad_request("bad_field", format!("field '{key}' is not a string"))
-        }),
-    }
 }
 
 /// Parses the wire form of a question id (`"q17"`).
@@ -205,23 +168,22 @@ impl SubmittedRecord {
 
     /// Decodes the array form.
     pub fn from_json(doc: &Json) -> Result<SubmittedRecord, ServeError> {
-        let bad = || ServeError::bad_request("bad_log", "malformed submission-log entry");
-        let parts = doc.as_array().ok_or_else(bad)?;
-        let [question, u1, u2, verdict] = parts else {
-            return Err(bad());
-        };
-        let verdict = match verdict.as_str().ok_or_else(bad)? {
+        SubmittedRecord::decode(doc).map_err(|e| {
+            ServeError::bad_request("bad_log", format!("malformed submission-log entry: {e}"))
+        })
+    }
+}
+
+impl FromJson<'_> for SubmittedRecord {
+    fn decode(doc: &Json) -> Result<SubmittedRecord, FieldError> {
+        let (question, u1, u2, verdict) = <(u64, u32, u32, &str)>::decode(doc)?;
+        let verdict = match verdict {
             "match" => Verdict::Match,
             "non_match" => Verdict::NonMatch,
             "inconsistent" => Verdict::Inconsistent,
-            _ => return Err(bad()),
+            _ => return Err(FieldError::invalid("a verdict code")),
         };
-        let entity = |v: &Json| v.as_u64().and_then(|n| u32::try_from(n).ok()).ok_or_else(bad);
-        Ok(SubmittedRecord {
-            question: question.as_u64().ok_or_else(bad)?,
-            pair: (EntityId(entity(u1)?), EntityId(entity(u2)?)),
-            verdict,
-        })
+        Ok(SubmittedRecord { question, pair: (EntityId(u1), EntityId(u2)), verdict })
     }
 }
 
@@ -258,18 +220,12 @@ pub fn outcome_matches(
     expected_log: &[SubmittedRecord],
 ) -> Result<(), String> {
     let reference = outcome_json(expected, expected_log);
-    let (Json::Obj(got), Json::Obj(want)) = (doc, &reference) else {
-        return Err("outcome documents must be objects".into());
-    };
-    for (key, want_value) in want {
-        match got.iter().find(|(k, _)| k == key) {
-            None => return Err(format!("wire outcome is missing field '{key}'")),
-            Some((_, got_value)) if got_value != want_value => {
-                return Err(format!(
-                    "outcome field '{key}' diverges:\n  wire     = {got_value}\n  expected = {want_value}"
-                ));
-            }
-            Some(_) => {}
+    for (key, want_value) in reference.as_object().unwrap_or_default() {
+        let got_value: &Json = doc.field(key).map_err(|e| format!("wire outcome: {e}"))?;
+        if got_value != want_value {
+            return Err(format!(
+                "outcome field '{key}' diverges:\n  wire     = {got_value}\n  expected = {want_value}"
+            ));
         }
     }
     Ok(())
@@ -302,14 +258,18 @@ mod tests {
 
     #[test]
     fn body_accessors_reject_wrong_types() {
-        let doc = parse_body(br#"{"s":"x","b":true,"n":3}"#).unwrap();
-        assert_eq!(body_str(&doc, "s").unwrap(), "x");
-        assert!(body_bool(&doc, "b").unwrap());
-        assert_eq!(body_opt_u64(&doc, "n").unwrap(), Some(3));
-        assert_eq!(body_opt_u64(&doc, "missing").unwrap(), None);
-        assert!(body_str(&doc, "n").is_err());
-        assert!(body_bool(&doc, "s").is_err());
-        assert!(body_opt_f64(&doc, "s").is_err());
+        let doc = parse_body(br#"{"s":"x","b":true,"n":3,"z":null,"big":4294967296}"#).unwrap();
+        assert_eq!(doc.field::<&str>("s").unwrap(), "x");
+        assert!(doc.field::<bool>("b").unwrap());
+        assert_eq!(doc.opt_field::<u64>("n").unwrap(), Some(3));
+        assert_eq!(doc.opt_field::<u64>("missing").unwrap(), None);
+        let code = |e: FieldError| ServeError::from(e).code;
+        assert_eq!(code(doc.field::<&str>("n").unwrap_err()), "bad_field");
+        assert_eq!(code(doc.field::<bool>("s").unwrap_err()), "bad_field");
+        assert_eq!(code(doc.opt_field::<f64>("s").unwrap_err()), "bad_field");
+        assert_eq!(code(doc.field::<u32>("big").unwrap_err()), "bad_field");
+        assert_eq!(code(doc.field::<bool>("missing").unwrap_err()), "missing_field");
+        assert_eq!(code(doc.field::<bool>("z").unwrap_err()), "missing_field");
         assert!(parse_body(b"[1,2]").is_err(), "non-object body");
         assert!(parse_body(b"{oops").is_err(), "broken JSON");
         assert!(parse_body(&[0xff, 0xfe]).is_err(), "non-UTF-8");

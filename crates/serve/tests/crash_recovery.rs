@@ -87,7 +87,7 @@ fn create_campaign(client: &ServeClient, per_question: usize, name: &str) -> Str
             ]),
         )
         .expect("create campaign");
-    created.get("id").and_then(Json::as_str).expect("campaign id").to_owned()
+    created.field("id").expect("campaign id")
 }
 
 /// Drives `partial` questions, SIGKILLs the daemon, optionally mangles
@@ -128,8 +128,8 @@ fn crash_and_recover(tag: &str, mangle_tail: bool) {
     let client = daemon.client();
     let status = client.get(&format!("/campaigns/{id}")).expect("recovered campaign status");
     assert_eq!(
-        status.get("questions_asked").and_then(Json::as_usize),
-        Some(4),
+        status.field::<usize>("questions_asked"),
+        Ok(4),
         "WAL replay must restore every answered question"
     );
     if mangle_tail {

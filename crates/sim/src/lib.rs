@@ -68,6 +68,13 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// A scenario field that is missing, mistyped or out of range.
+impl From<remp_json::FieldError> for SimError {
+    fn from(e: remp_json::FieldError) -> SimError {
+        SimError::BadScenario(e.to_string())
+    }
+}
+
 impl From<remp_serve::ServeError> for SimError {
     fn from(e: remp_serve::ServeError) -> SimError {
         SimError::Engine(e.to_string())

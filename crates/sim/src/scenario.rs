@@ -8,7 +8,7 @@
 //! the same axis the [`CampaignEngine`](remp_serve::CampaignEngine)
 //! prunes leases on.
 
-use remp_json::Json;
+use remp_json::{FieldError, FromJson, Json};
 use remp_serve::CrowdPolicy;
 
 use crate::SimError;
@@ -247,35 +247,23 @@ impl Scenario {
         ])
     }
 
-    /// Parses a scenario file; unknown behaviors and missing required
-    /// fields are errors, everything else has the documented default.
+    /// Parses a scenario file; unknown behaviors, missing required
+    /// fields and mistyped fields are errors, an absent (or `null`)
+    /// optional field has the documented default.
     pub fn from_json(doc: &Json) -> Result<Scenario, SimError> {
-        let bad = |msg: String| SimError::BadScenario(msg);
-        let str_field = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| bad(format!("missing string field {key:?}")))
-        };
         let scenario = Scenario {
-            name: str_field("name")?,
-            dataset: doc.get("dataset").and_then(Json::as_str).unwrap_or("TINY").to_owned(),
-            scale: doc.get("scale").and_then(Json::as_f64).unwrap_or(1.0),
-            seed: doc.get("seed").and_then(Json::as_u64).unwrap_or(0),
-            budget: doc.get("budget").and_then(Json::as_usize),
-            mu: doc.get("mu").and_then(Json::as_usize),
-            per_question: doc.get("per_question").and_then(Json::as_usize).unwrap_or(5),
-            qualification: doc.get("qualification").and_then(Json::as_f64).unwrap_or(0.85),
-            quality_weight: doc.get("quality_weight").and_then(Json::as_f64).unwrap_or(5.0),
-            lease_ticks: doc.get("lease_ticks").and_then(Json::as_u64).unwrap_or(50),
-            max_ticks: doc.get("max_ticks").and_then(Json::as_u64).unwrap_or(100_000),
-            cohorts: doc
-                .get("cohorts")
-                .and_then(Json::as_array)
-                .ok_or_else(|| bad("missing cohorts array".into()))?
-                .iter()
-                .map(cohort_from_json)
-                .collect::<Result<Vec<_>, SimError>>()?,
+            name: doc.field("name")?,
+            dataset: doc.opt_field("dataset")?.unwrap_or_else(|| "TINY".to_owned()),
+            scale: doc.opt_field("scale")?.unwrap_or(1.0),
+            seed: doc.opt_field("seed")?.unwrap_or(0),
+            budget: doc.opt_field("budget")?,
+            mu: doc.opt_field("mu")?,
+            per_question: doc.opt_field("per_question")?.unwrap_or(5),
+            qualification: doc.opt_field("qualification")?.unwrap_or(0.85),
+            quality_weight: doc.opt_field("quality_weight")?.unwrap_or(5.0),
+            lease_ticks: doc.opt_field("lease_ticks")?.unwrap_or(50),
+            max_ticks: doc.opt_field("max_ticks")?.unwrap_or(100_000),
+            cohorts: doc.field("cohorts")?,
         };
         scenario.validate()?;
         Ok(scenario)
@@ -310,48 +298,35 @@ fn cohort_json(c: &Cohort) -> Json {
     Json::Obj(fields)
 }
 
-fn cohort_from_json(doc: &Json) -> Result<Cohort, SimError> {
-    let bad = |msg: String| SimError::BadScenario(msg);
-    let name = doc
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("cohort without a name".into()))?
-        .to_owned();
-    let behavior = match doc.get("behavior").and_then(Json::as_str) {
-        Some("honest") | None => Behavior::Honest {
-            min_quality: doc.get("min_quality").and_then(Json::as_f64).unwrap_or(0.8),
-            max_quality: doc.get("max_quality").and_then(Json::as_f64).unwrap_or(0.99),
-            drift_per_tick: doc.get("drift_per_tick").and_then(Json::as_f64).unwrap_or(0.0),
-        },
-        Some("coin") => Behavior::Coin,
-        Some("always_yes") => Behavior::AlwaysYes,
-        Some("always_no") => Behavior::AlwaysNo,
-        Some("colluder") => Behavior::Colluder,
-        Some(other) => return Err(bad(format!("cohort {name:?}: unknown behavior {other:?}"))),
-    };
-    let latency = match doc.get("latency") {
-        None => (0, 0),
-        Some(Json::Arr(parts)) => match parts.as_slice() {
-            [lo, hi] => (
-                lo.as_u64().ok_or_else(|| bad(format!("cohort {name:?}: bad latency lo")))?,
-                hi.as_u64().ok_or_else(|| bad(format!("cohort {name:?}: bad latency hi")))?,
-            ),
-            _ => return Err(bad(format!("cohort {name:?}: latency must be [lo, hi]"))),
-        },
-        Some(_) => return Err(bad(format!("cohort {name:?}: latency must be [lo, hi]"))),
-    };
-    Ok(Cohort {
-        count: doc
-            .get("count")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| bad(format!("cohort {name:?}: missing count")))?,
-        behavior,
-        arrive_tick: doc.get("arrive_tick").and_then(Json::as_u64).unwrap_or(0),
-        arrive_stagger: doc.get("arrive_stagger").and_then(Json::as_u64).unwrap_or(0),
-        leave_tick: doc.get("leave_tick").and_then(Json::as_u64),
-        latency,
-        name,
-    })
+impl FromJson<'_> for Cohort {
+    fn decode(doc: &Json) -> Result<Cohort, FieldError> {
+        let behavior = match doc.opt_field("behavior")? {
+            Some("honest") | None => Behavior::Honest {
+                min_quality: doc.opt_field("min_quality")?.unwrap_or(0.8),
+                max_quality: doc.opt_field("max_quality")?.unwrap_or(0.99),
+                drift_per_tick: doc.opt_field("drift_per_tick")?.unwrap_or(0.0),
+            },
+            Some("coin") => Behavior::Coin,
+            Some("always_yes") => Behavior::AlwaysYes,
+            Some("always_no") => Behavior::AlwaysNo,
+            Some("colluder") => Behavior::Colluder,
+            Some(_) => {
+                return Err(FieldError::Invalid {
+                    field: "behavior".into(),
+                    expected: "one of honest, coin, always_yes, always_no, colluder",
+                })
+            }
+        };
+        Ok(Cohort {
+            name: doc.field("name")?,
+            count: doc.field("count")?,
+            behavior,
+            arrive_tick: doc.opt_field("arrive_tick")?.unwrap_or(0),
+            arrive_stagger: doc.opt_field("arrive_stagger")?.unwrap_or(0),
+            leave_tick: doc.opt_field("leave_tick")?,
+            latency: doc.opt_field("latency")?.unwrap_or((0, 0)),
+        })
+    }
 }
 
 // ---- presets ----------------------------------------------------------
@@ -505,6 +480,24 @@ mod tests {
 
         assert!(Scenario::parse("{\"name\": \"x\"}").is_err(), "cohorts are required");
         assert!(Scenario::parse("not json").is_err());
+
+        // Mistyped fields are errors naming the field, never defaults.
+        let file = |top: &str, cohort: &str| {
+            format!(r#"{{"name": "x", {top} "cohorts": [{{"name": "w", "count": 10 {cohort}}}]}}"#)
+        };
+        for (text, field) in [
+            (file(r#""budget": "100","#, ""), "budget"),
+            (file(r#""per_question": "5","#, ""), "per_question"),
+            (file(r#""seed": -3,"#, ""), "seed"),
+            (file("", r#", "min_quality": "0.9""#), "cohorts[0].min_quality"),
+            (file("", r#", "behavior": 3"#), "cohorts[0].behavior"),
+            (file("", r#", "latency": [1]"#), "cohorts[0].latency"),
+        ] {
+            let err = Scenario::parse(&text).unwrap_err();
+            let SimError::BadScenario(msg) = &err else { panic!("{text}: {err}") };
+            assert!(msg.contains(&format!("'{field}'")), "{text}: {msg}");
+        }
+        assert!(Scenario::parse(&file("", "")).is_ok(), "the template itself is valid");
     }
 
     #[test]

@@ -48,7 +48,7 @@ fn main() {
             ]),
         )
         .expect("create campaign");
-    let id = created.get("id").and_then(Json::as_str).expect("campaign id").to_owned();
+    let id: String = created.field("id").expect("campaign id");
     println!("created campaign {id}");
 
     // Drive it: each question is leased to three distinct named workers,
@@ -61,18 +61,9 @@ fn main() {
     println!("campaign complete: {} questions answered over HTTP", driven.len());
 
     // Score it against the gold standard…
-    let matches: Vec<(EntityId, EntityId)> = outcome
-        .get("matches")
-        .and_then(Json::as_array)
-        .expect("matches")
-        .iter()
-        .map(|pair| {
-            let get = |i: usize| {
-                pair.as_array().unwrap()[i].as_u64().map(|n| EntityId(n as u32)).unwrap()
-            };
-            (get(0), get(1))
-        })
-        .collect();
+    let pairs: Vec<(u32, u32)> = outcome.field("matches").expect("matches");
+    let matches: Vec<(EntityId, EntityId)> =
+        pairs.into_iter().map(|(a, b)| (EntityId(a), EntityId(b))).collect();
     let eval = evaluate_matches(matches.iter().copied(), &dataset.gold);
     println!(
         "precision {:.1}%  recall {:.1}%  F1 {:.1}%",

@@ -642,12 +642,7 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
             if let Some(mu) = opts.optional::<u64>("mu")? {
                 body.push(("mu".to_owned(), Json::from(mu)));
             }
-            let created = client.post("/campaigns", &Json::Obj(body))?;
-            created
-                .get("id")
-                .and_then(Json::as_str)
-                .ok_or_else(|| CliError::Failed("server did not return a campaign id".into()))?
-                .to_owned()
+            client.post("/campaigns", &Json::Obj(body))?.field("id")?
         }
     };
     println!("driving campaign {campaign} on http://{}", client.addr());
@@ -902,22 +897,8 @@ fn parse_quality_bounds(opts: &Opts) -> Result<CrowdParams, CliError> {
 }
 
 fn decode_matches(outcome_doc: &Json) -> Result<Vec<(EntityId, EntityId)>, CliError> {
-    outcome_doc
-        .get("matches")
-        .and_then(Json::as_array)
-        .ok_or_else(|| CliError::Failed("outcome without a matches array".into()))?
-        .iter()
-        .map(|pair| {
-            let entity = |v: &Json| v.as_u64().and_then(|n| u32::try_from(n).ok());
-            match pair.as_array() {
-                Some([a, b]) => entity(a)
-                    .zip(entity(b))
-                    .map(|(a, b)| (EntityId(a), EntityId(b)))
-                    .ok_or_else(|| CliError::Failed("non-numeric match entry".into())),
-                _ => Err(CliError::Failed("malformed match entry".into())),
-            }
-        })
-        .collect()
+    let pairs: Vec<(u32, u32)> = outcome_doc.field("matches")?;
+    Ok(pairs.into_iter().map(|(a, b)| (EntityId(a), EntityId(b))).collect())
 }
 
 /// One `/metrics` scrape, parsed — shared by `top` and `metrics`.
@@ -1231,26 +1212,15 @@ fn storm_campaign(
                         let doc = client
                             .get(&format!("/campaigns/{id}/next?worker={name}&wait_ms=2000"))
                             .map_err(|e| e.to_string())?;
-                        if doc.get("complete").and_then(Json::as_bool) == Some(true) {
+                        if doc.opt_field("complete")? == Some(true) {
                             done.store(true, Ordering::Relaxed);
                             return Ok((accepted, rejected));
                         }
-                        let Some(a) = doc.get("assignment").filter(|a| !matches!(a, Json::Null))
-                        else {
+                        let Some(a) = doc.opt_field::<&Json>("assignment")? else {
                             continue;
                         };
-                        let field = |key: &str| {
-                            a.get(key)
-                                .and_then(Json::as_u64)
-                                .and_then(|n| u32::try_from(n).ok())
-                                .ok_or_else(|| format!("assignment without '{key}'"))
-                        };
-                        let qid = a
-                            .get("id")
-                            .and_then(Json::as_str)
-                            .ok_or("assignment without id")?
-                            .to_owned();
-                        let mut says = truth(EntityId(field("u1")?), EntityId(field("u2")?));
+                        let qid: &str = a.field("id")?;
+                        let mut says = truth(EntityId(a.field("u1")?), EntityId(a.field("u2")?));
                         rng ^= rng << 13;
                         rng ^= rng >> 7;
                         rng ^= rng << 17;
@@ -1261,7 +1231,7 @@ fn storm_campaign(
                             &format!("/campaigns/{id}/answers"),
                             &Json::Obj(vec![
                                 ("worker".into(), Json::from(name.as_str())),
-                                ("question".into(), Json::from(qid.as_str())),
+                                ("question".into(), Json::from(qid)),
                                 ("says_match".into(), Json::from(says)),
                             ]),
                         );
@@ -1367,11 +1337,7 @@ fn cmd_storm(opts: &Opts) -> Result<(), CliError> {
             ("per_question".into(), Json::from(per_question)),
         ]),
     )?;
-    let id = created
-        .get("id")
-        .and_then(Json::as_str)
-        .ok_or_else(|| CliError::Failed("campaign create without id".into()))?
-        .to_owned();
+    let id: String = created.field("id")?;
     let longpoll = storm_campaign(&server.addr, &id, workers, seed, &truth)?;
     println!(
         "  long-poll campaign: {} questions / {} answers in {:.2}s \
@@ -1723,11 +1689,7 @@ fn run_sharded_processes(
                 ("lease_ms".to_owned(), Json::from(lease_ms)),
             ]),
         )?;
-        let job = created
-            .get("job")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CliError::Failed("coordinator did not return a job id".into()))?
-            .to_owned();
+        let job: String = created.field("job")?;
         let total = created.get("total").and_then(Json::as_u64).unwrap_or(0);
         println!(
             "coordinating job {job} on http://{addr}: {total} shard(s), \
@@ -1784,11 +1746,7 @@ fn cmd_shard_worker(opts: &Opts) -> Result<(), CliError> {
             std::thread::sleep(Duration::from_millis(poll_ms.max(10)));
             continue;
         };
-        let path = next
-            .get("path")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CliError::Failed("lease without a shard path".into()))?
-            .to_owned();
+        let path: String = next.field("path")?;
 
         // Heartbeat in the background while the shard computes, so a
         // long shard never loses its lease mid-flight.

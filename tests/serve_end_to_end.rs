@@ -92,7 +92,7 @@ fn create_preset_campaign(client: &ServeClient, per_question: usize, name: &str)
             ]),
         )
         .expect("create campaign");
-    created.get("id").and_then(Json::as_str).expect("campaign id").to_owned()
+    created.field("id").expect("campaign id")
 }
 
 #[test]
@@ -122,7 +122,7 @@ fn http_campaign_from_files_is_bit_identical_to_in_process() {
             ]),
         )
         .expect("create campaign");
-    let id = created.get("id").and_then(Json::as_str).unwrap().to_owned();
+    let id: String = created.field("id").unwrap();
 
     let mut crowd = WireCrowd::new(&params);
     let truth = |a: EntityId, b: EntityId| dataset.is_match(a, b);
@@ -173,7 +173,7 @@ fn restart_mid_campaign_preserves_bit_identical_outcome() {
     // restart — finishes it.
     let server = TestServer::start(Some(state_dir.clone()));
     let status = server.client.get(&format!("/campaigns/{id}")).expect("resumed campaign status");
-    assert_eq!(status.get("questions_asked").and_then(Json::as_usize), Some(4));
+    assert_eq!(status.field::<usize>("questions_asked"), Ok(4));
     let rest = drive(&server.client, &id, &mut crowd, &truth).expect("drive to completion");
     let wire_outcome = server.client.get(&format!("/campaigns/{id}/outcome")).unwrap();
     server.shutdown();
@@ -249,12 +249,7 @@ fn malformed_requests_get_typed_errors_and_never_kill_the_server() {
 
     // Lease one real question so the conflict cases are reachable.
     let next = server.client.get(&format!("/campaigns/{id}/next?worker=w0")).unwrap();
-    let qid = next
-        .get("assignment")
-        .and_then(|a| a.get("id"))
-        .and_then(Json::as_str)
-        .expect("an assignment")
-        .to_owned();
+    let qid: String = next.field::<&Json>("assignment").unwrap().field("id").unwrap();
     let answer = |worker: &str, question: &str, says: bool| {
         server.client.post(
             &format!("/campaigns/{id}/answers"),
@@ -275,6 +270,7 @@ fn malformed_requests_get_typed_errors_and_never_kill_the_server() {
         ("unknown question", 404, Some("unknown_question")),
         ("bad question id", 400, Some("bad_question_id")),
         ("bad json body", 400, Some("bad_json")),
+        ("wrong-typed answer", 400, Some("bad_field")),
         ("missing worker", 400, Some("missing_worker")),
         ("unknown route", 404, Some("unknown_route")),
         ("bad method", 405, Some("method_not_allowed")),
@@ -287,6 +283,12 @@ fn malformed_requests_get_typed_errors_and_never_kill_the_server() {
             "unknown campaign" => server.client.get("/campaigns/zzz").unwrap_err(),
             "unknown question" => answer("w0", "q999999", true).unwrap_err(),
             "bad question id" => answer("w0", "seventeen", true).unwrap_err(),
+            "wrong-typed answer" => {
+                let body = Json::parse(&format!(
+                    r#"{{"worker": "w0", "question": "{qid}", "says_match": "yes"}}"#
+                ));
+                server.client.post(&format!("/campaigns/{id}/answers"), &body.unwrap()).unwrap_err()
+            }
             "bad json body" => {
                 let (status, doc) = server
                     .client
@@ -354,7 +356,7 @@ fn lease_expiry_reissues_questions_over_http() {
                 ]),
             )
             .unwrap();
-        created.get("id").and_then(Json::as_str).unwrap().to_owned()
+        created.field::<String>("id").unwrap()
     };
     let lease_of = |id: &str, worker: &str| {
         server
@@ -424,19 +426,14 @@ fn lease_expiry_reissues_questions_over_http() {
     assert_eq!(leases.get("expired").and_then(Json::as_u64), Some(1));
     assert_eq!(leases.get("reissued").and_then(Json::as_u64), Some(1));
     let quality = status.get("worker_quality").expect("worker quality summary in status");
-    assert_eq!(quality.get("count").and_then(Json::as_usize), Some(2));
+    assert_eq!(quality.field::<usize>("count"), Ok(2));
     assert!(quality.get("mean").and_then(Json::as_f64).is_some());
 
     // The workers endpoint lists both, with their estimator records.
     let workers = server.client.get(&format!("/campaigns/{id}/workers")).unwrap();
-    assert_eq!(workers.get("count").and_then(Json::as_usize), Some(2));
-    let names: Vec<&str> = workers
-        .get("workers")
-        .and_then(Json::as_array)
-        .expect("workers array")
-        .iter()
-        .filter_map(|w| w.get("name").and_then(Json::as_str))
-        .collect();
+    assert_eq!(workers.field::<usize>("count"), Ok(2));
+    let workers: Vec<&Json> = workers.field("workers").expect("workers array");
+    let names: Vec<&str> = workers.iter().map(|w| w.field("name").unwrap()).collect();
     assert_eq!(names, vec!["ghost", "w1"]);
     server.shutdown();
 }
